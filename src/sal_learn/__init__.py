@@ -51,10 +51,10 @@ from .qp import (
     solve,
 )
 from .records import GradeRecord, SsgRecord, TrainReport
-from .reporting import load_model, model_json, sal_report_rows, save_model, write_csv
+from .reporting import load_model, model_json, sal_report_rows, save_mlp, save_model, write_csv
 from .rng import SplitMix64
 from .smoothing import GridSteps, Smoother, TauMultiples, smooth_fn_grid, smooth_grid
-from .train import GradeConfig, TrainConfig, TrainError, hybrid_train, rse, train_grade, train_sal
+from .train import GradeConfig, TrainConfig, TrainError, rse, train_grade, train_sal
 
 __version__ = "0.1.0"
 
@@ -92,7 +92,6 @@ __all__ = [
     "get_target",
     "gradient",
     "he_init",
-    "hybrid_train",
     "inner_product",
     "leaky_relu",
     "lipschitz_bound",
@@ -110,6 +109,7 @@ __all__ = [
     "oscillatory_coefficients",
     "rse",
     "sal_report_rows",
+    "save_mlp",
     "save_model",
     "smooth_fn_grid",
     "smooth_grid",

@@ -30,6 +30,7 @@ from .reporting import (
     format_cell,
     load_model,
     sal_report_rows,
+    save_mlp,
     save_model,
     write_csv,
 )
@@ -407,26 +408,6 @@ def cmd_train_sal(cfg: RunConfig) -> int:
     return 0
 
 
-def _save_mlp(params: mlp.MlpParams, path: Path) -> None:
-    from .reporting import _PrecisionEncoder
-
-    doc = {"format_version": 1, "kind": "mlp", **params.to_dict()}
-    with open(path, "w") as fh:
-        fh.write(json.dumps(doc, cls=_PrecisionEncoder, indent=1))
-        fh.write("\n")
-
-
-def load_any_model(path):
-    """Load either a superposition model or a baseline MLP file."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if "grades" in doc:
-        from .model import model_from_dict
-
-        return model_from_dict(doc)
-    return mlp.MlpParams.from_dict(doc)
-
-
 def cmd_train_ssg(cfg: RunConfig) -> int:
     if cfg.ssg is None:
         print("error: config has no ssg section", file=sys.stderr)
@@ -442,7 +423,7 @@ def cmd_train_ssg(cfg: RunConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     write_csv(report.records, csv_path, SSG_COLUMNS)
-    _save_mlp(params, model_path)
+    save_mlp(params, model_path)
     _log(
         out_dir,
         [f"command: train-ssg", f"metadata: {report.metadata}", f"total_time_s: {report.total_time_s:.3f}"],
@@ -545,7 +526,11 @@ def cmd_compare(cfg: RunConfig) -> int:
 
 
 def cmd_eval(model_path, cfg: RunConfig) -> int:
-    model = load_any_model(model_path)
+    try:
+        model = load_model(model_path)
+    except (OSError, ValueError) as exc:
+        print(f"model error: {exc}", file=sys.stderr)
+        return 2
     train_set, test_set = _build_datasets(cfg)
     pred = model.predict(train_set.inputs)
     print(f"rse(train) = {train.rse(pred, train_set.targets):.5e}")

@@ -10,7 +10,7 @@ feed grade k+1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -18,6 +18,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import smoothing
 
 FORMAT_VERSION = 1
+
+# Rows per block of the feature recursion: 16384 rows of width 128 are 16 MB.
+BLOCK_ROWS = 16384
 
 _BASE_KINDS = ("identity", "relu", "leaky_relu", "tanh", "sincos_half")
 
@@ -174,6 +177,41 @@ class Grade:
 
 
 @dataclass
+class Carry:
+    """The features N_depth at every row of one point set, kept between chain runs."""
+
+    depth: int
+    feats: np.ndarray
+
+
+def _row_blocks(n: int) -> list[slice]:
+    """Near-equal row blocks of at most BLOCK_ROWS rows.
+
+    Splitting evenly keeps every block of a long run above half the limit.
+    That keeps results bit-identical to one full-array pass: OpenBLAS gives
+    a long row block of `a @ w.T` the bits of the full product, but not a
+    short one (at width 100, blocks of 100 rows differ in the last place,
+    blocks of 500 rows and more do not).
+    """
+    count = max(1, -(-n // BLOCK_ROWS))
+    edges = [i * n // count for i in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
+def _store(
+    kept: Carry | None, carry: Carry | None, rows: slice, a: np.ndarray, n: int, depth: int
+) -> Carry:
+    """Write one row block of N_depth, reusing the consumed carry's array when it fits."""
+    if kept is None:
+        if carry is not None and carry.feats.shape[1] == a.shape[1]:
+            kept = Carry(depth, carry.feats)
+        else:
+            kept = Carry(depth, np.empty((n, a.shape[1])))
+    kept.feats[rows] = a
+    return kept
+
+
+@dataclass
 class Model:
     """Superposition model: optional hybrid head plus an ordered list of grades."""
 
@@ -188,6 +226,53 @@ class Model:
             raise ValueError(f"expected inputs of shape (n, {self.input_dim})")
         return x
 
+    def run_chain(
+        self,
+        points: np.ndarray | None,
+        wanted: Sequence[int] = (),
+        carry: Carry | None = None,
+        keep: int | None = None,
+    ) -> tuple[dict[int, np.ndarray], Carry | None]:
+        """Raw pooled components of the grades in `wanted` at the rows of points.
+
+        The feature recursion runs over near-equal row blocks of at most
+        BLOCK_ROWS rows, so only one block's features are alive at a time, and
+        each grade it passes is evaluated once.  `carry` holds N_d at the
+        points and stands in for them and for the first d grades (points may
+        then be None).  With `keep=j` the features N_j come back as a Carry;
+        a carry passed in is then consumed, since its array is overwritten
+        when the widths agree.
+        """
+        if carry is not None:
+            points = carry.feats
+        start = carry.depth if carry is not None else 0
+        stop = max([k + 1 for k in wanted] + [keep or 0])
+        if any(k < start for k in wanted) or stop > len(self.grades):
+            raise IndexError(f"grades {list(wanted)} out of range for depth {start}")
+        if keep is not None and keep < start:
+            raise IndexError(f"cannot keep depth {keep} below the carried depth {start}")
+        n = points.shape[0]
+        comps = {k: np.empty((n, self.output_dim)) for k in wanted}
+        kept = None
+        if keep == start and carry is not None:
+            keep, kept = None, carry
+        for rows in _row_blocks(n):
+            a = points[rows]
+            if carry is None and self.head is not None:
+                a = self.head.hidden(a)
+            for j in range(start, stop):
+                if j == keep:
+                    kept = _store(kept, carry, rows, a, n, keep)
+                g = self.grades[j]
+                pre = a @ g.weight.T + g.bias
+                if j in comps:
+                    comps[j][rows] = g.pooling.apply(pre)
+                if j + 1 < stop or keep == stop:
+                    a = g.activation(pre)
+            if keep == stop:
+                kept = _store(kept, carry, rows, a, n, keep)
+        return comps, kept
+
     def features(self, x: np.ndarray, upto: int | None = None) -> np.ndarray:
         """Feature recursion N_k at the rows of x (k = upto, default all grades).
 
@@ -199,32 +284,59 @@ class Model:
             upto = len(self.grades)
         if not 0 <= upto <= len(self.grades):
             raise IndexError(f"feature depth {upto} out of range")
-        a = self.head.hidden(x) if self.head is not None else x
-        for g in self.grades[:upto]:
-            a = g.activation(a @ g.weight.T + g.bias)
-        return a
+        return self.run_chain(x, keep=upto)[1].feats
 
-    def pre_activation(self, k: int, x: np.ndarray) -> np.ndarray:
-        g = self.grades[k]
-        return self.features(x, upto=k) @ g.weight.T + g.bias
+    def smoothed_components(
+        self,
+        ks: Sequence[int],
+        x: np.ndarray,
+        carry: Carry | None = None,
+        keep: int | None = None,
+    ) -> tuple[dict[int, np.ndarray], Carry | None]:
+        """Smoothed components of grades ks, which share one node set, at the
+        rows of x.
 
-    def _raw_component(self, k: int, x: np.ndarray) -> np.ndarray:
-        g = self.grades[k]
-        return g.pooling.apply(self.pre_activation(k, x))
+        The chain runs once at the quadrature nodes, when the first grade's
+        quadrature asks for its values (see run_chain for `carry` and
+        `keep`, which refer to the nodes); each grade's quadrature then
+        weights its own raw values.
+        """
+        if self.input_dim != 1:
+            raise ValueError("smoothing supports 1-D input only")
+        xs = x[:, 0]
+        nodes = smoothing.quadrature_nodes(self.grades[ks[0]].smoother, xs)
+        ran: dict[str, Any] = {}
+
+        def raw(points: np.ndarray, k: int) -> np.ndarray:
+            if points.shape != nodes.shape or not np.array_equal(points, nodes):
+                return self.run_chain(points[:, None], [k])[0][k]  # renormalizing base
+            if not ran:
+                ran["comps"], ran["carry"] = self.run_chain(points[:, None], ks, carry, keep)
+            return ran["comps"][k]
+
+        out = {
+            k: smoothing.smooth_fn_grid(lambda p, k=k: raw(p, k), self.grades[k].smoother, xs)
+            for k in ks
+        }
+        return out, ran["carry"]
+
+    def _components(self, x: np.ndarray, ks: Sequence[int]) -> dict[int, np.ndarray]:
+        """Components of grades ks at the rows of x, one chain run per node set."""
+        groups: dict[Any, list[int]] = {}
+        for k in ks:
+            sm = self.grades[k].smoother
+            groups.setdefault(None if sm is None else smoothing.node_key(sm), []).append(k)
+        out = {}
+        for key, group in groups.items():
+            if key is None:
+                out.update(self.run_chain(x, group)[0])
+            else:
+                out.update(self.smoothed_components(group, x)[0])
+        return out
 
     def component_values(self, k: int, x: np.ndarray) -> np.ndarray:
         """Grade k's component at the rows of x — smoothed when the grade says so."""
-        x = self._check_input(x)
-        g = self.grades[k]
-        if g.smoother is None:
-            return self._raw_component(k, x)
-        if self.input_dim != 1:
-            raise ValueError("smoothing supports 1-D input only")
-
-        def f(points: np.ndarray) -> np.ndarray:
-            return self._raw_component(k, points[:, None])
-
-        return smoothing.smooth_fn_grid(f, g.smoother, x[:, 0])
+        return self._components(self._check_input(x), [k])[k]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Sum of the per-grade components (plus the head), in grade order."""
@@ -235,8 +347,9 @@ class Model:
             out = np.asarray(self.head.predict(x), dtype=float)
         else:
             out = np.zeros((x.shape[0], self.output_dim))
+        comps = self._components(x, range(len(self.grades)))
         for k in range(len(self.grades)):
-            out = out + self.component_values(k, x)
+            out = out + comps[k]
         return out
 
 

@@ -12,6 +12,7 @@ import json
 import json.encoder
 from dataclasses import asdict, is_dataclass
 
+from .mlp import MlpParams
 from .model import Model, model_from_dict, model_to_dict
 
 SAL_COLUMNS = ["grade", "tau", "epsilon", "iterations", "train_time_s", "rse_train", "rse_test"]
@@ -91,19 +92,41 @@ def model_json(model: Model) -> str:
     return json.dumps(model_to_dict(model), cls=_PrecisionEncoder, indent=1)
 
 
-def save_model(model: Model, path) -> None:
+def _write(text: str, path) -> None:
     try:
         with open(path, "w") as fh:
-            fh.write(model_json(model))
+            fh.write(text)
             fh.write("\n")
     except OSError as exc:
         raise OSError(f"cannot write model {path}: {exc}") from exc
 
 
-def load_model(path) -> Model:
+def save_model(model: Model, path) -> None:
+    _write(model_json(model), path)
+
+
+def save_mlp(params: MlpParams, path) -> None:
+    """Write a baseline MLP; the "kind" key tells load_model it is not a cascade."""
+    doc = {"format_version": 1, "kind": "mlp", **params.to_dict()}
+    _write(json.dumps(doc, cls=_PrecisionEncoder, indent=1), path)
+
+
+def load_model(path) -> Model | MlpParams:
+    """Load a superposition model, or a baseline MLP written by save_mlp.
+
+    Raises OSError when the file cannot be read and ValueError when it is
+    not a model document.
+    """
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise OSError(f"cannot read model {path}: {exc}") from exc
-    return model_from_dict(doc)
+    except ValueError as exc:
+        raise ValueError(f"cannot parse model {path}: {exc}") from exc
+    try:
+        if isinstance(doc, dict) and doc.get("kind") == "mlp":
+            return MlpParams.from_dict(doc)
+        return model_from_dict(doc)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed model {path}: {exc!r}") from exc

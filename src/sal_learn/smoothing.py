@@ -97,6 +97,17 @@ def quadrature(sm: Smoother) -> tuple[np.ndarray, np.ndarray]:
     return offsets, weights
 
 
+def node_key(sm: Smoother) -> tuple[float, int]:
+    """Smoothers with equal keys place identical nodes around every query point."""
+    return half_width(sm), sm.quad_points
+
+
+def quadrature_nodes(sm: Smoother, xs: np.ndarray) -> np.ndarray:
+    """The nodes around each query point in xs, flattened point by point: (n*M,)."""
+    offsets, _ = quadrature(sm)
+    return (xs[:, None] + offsets[None, :]).ravel()
+
+
 def smooth_at(f: Callable[[np.ndarray], np.ndarray], sm: Smoother, x: float) -> np.ndarray:
     """Smoothed value of f at the scalar query point x.
 
@@ -120,7 +131,7 @@ def smooth_fn_grid(
     if xs.ndim != 1:
         raise ValueError("query points must be a 1-D array")
     offsets, weights = quadrature(sm)
-    nodes = (xs[:, None] + offsets[None, :]).ravel()
+    nodes = quadrature_nodes(sm, xs)
     vals = np.asarray(f(nodes), dtype=float)
     vals = vals.reshape(xs.size, offsets.size, -1)
     if not sm.renormalize:

@@ -108,15 +108,72 @@ def select_activation(
     return vecs[:, keep] @ coeffs, flagged
 
 
+def _component_smoother(cfg: GradeConfig) -> smoothing.Smoother | None:
+    if cfg.tau > 0.0 and cfg.smoothing_target == "component":
+        return smoothing.Smoother(cfg.tau, cfg.window, cfg.quad_points)
+    return None
+
+
+class _Carried:
+    """One point set of a training run and the features carried there.
+
+    `plain` holds N_k at the points x.  `nodes` holds N_k at the quadrature
+    nodes of the last smoothed grade, under that grade's node key; it is
+    kept only when the next grade smooths over the same nodes (the keys of
+    the configured grades are in `node_keys`), otherwise every block of
+    nodes streams straight to its pooled component.
+    """
+
+    def __init__(self, model: Model, x: np.ndarray, node_keys: Sequence = ()):
+        self.x = x
+        self.node_keys = list(node_keys)
+        self.plain = model.run_chain(x, keep=len(model.grades))[1]
+        self.key = None
+        self.nodes = None
+
+    def component(self, model: Model, k: int, advance: bool) -> np.ndarray:
+        """Grade k's component at x, exactly as `model.predict` evaluates it.
+
+        With `advance` the carried features move on to N_{k+1} in the same
+        pass.  Without it (the grade's activation is not final yet) they stay
+        at N_k: the caller advances `plain` once the activation is fixed, and
+        kept node features catch up in the next grade's pass.
+        """
+        sm = model.grades[k].smoother
+        if sm is None:
+            comps, plain = model.run_chain(None, [k], self.plain, keep=k + 1 if advance else None)
+            if advance:
+                self.plain = plain
+            self.key = self.nodes = None
+            return comps[k]
+        key = smoothing.node_key(sm)
+        carry = self.nodes if self.key == key else None
+        keep = None
+        if k + 1 < len(self.node_keys) and self.node_keys[k + 1] == key:
+            keep = k + 1 if advance else k
+        comps, self.nodes = model.smoothed_components([k], self.x, carry, keep)
+        self.key = key if self.nodes is not None else None
+        if advance:
+            self.plain = model.run_chain(None, carry=self.plain, keep=k + 1)[1]
+        return comps[k]
+
+
 def train_grade(
-    model: Model, dataset: Dataset, residual: np.ndarray, cfg: GradeConfig
+    model: Model,
+    dataset: Dataset,
+    residual: np.ndarray,
+    cfg: GradeConfig,
+    carried: _Carried | None = None,
 ) -> tuple[Grade, np.ndarray, GradeRecord]:
     """Fit one grade on the current residual; does not mutate the model.
 
     Returns the new grade, the next residual, and a record whose rse_train is
     the residual's share of the original target energy (for component-mode
     smoothing this equals the prediction-based rse; rse_test is left for the
-    caller, which owns the running test prediction).
+    caller, which owns the running test prediction).  `carried` holds the
+    features at the train inputs from earlier grades and moves them on to
+    this grade's output (train_sal passes it); without it they are computed
+    from the inputs.
     """
     start = time.perf_counter()
     t = dataset.targets.shape[1]
@@ -125,7 +182,9 @@ def train_grade(
     try:
         if cfg.width < t:
             raise ValueError(f"grade width {cfg.width} must be >= output dim {t}")
-        feats = model.features(x)
+        if carried is None:
+            carried = _Carried(model, x)
+        feats = carried.plain.feats
         pooling = Pooling(out_dim=t, mu=cfg.width - t)
         ridge = cfg.solver.ridge if cfg.solver.method == "nesterov" else 0.0
         problem = qp.assemble(feats, residual, pooling, ridge)
@@ -135,19 +194,16 @@ def train_grade(
 
     candidates = cfg.activation
     single = isinstance(candidates, Activation)
-    smoother = None
-    if cfg.tau > 0.0 and cfg.smoothing_target == "component":
-        smoother = smoothing.Smoother(cfg.tau, cfg.window, cfg.quad_points)
     grade = Grade(
         weight=weight,
         bias=bias,
         pooling=pooling,
         activation=candidates if single else candidates[0],
-        smoother=smoother,
+        smoother=_component_smoother(cfg),
     )
     # evaluate the component exactly as the finished model will predict it
     view = Model(model.input_dim, model.output_dim, model.grades + [grade], model.head)
-    component = view.component_values(k, x)
+    component = carried.component(view, k, advance=single)
     if cfg.tau > 0.0 and cfg.smoothing_target == "residual":
         raw_next = residual - component
         sm = smoothing.Smoother(cfg.tau, cfg.window, cfg.quad_points)
@@ -160,6 +216,7 @@ def train_grade(
         grade.activation = Activation(
             "combination", weights=tuple(float(a) for a in alpha), basis=tuple(candidates)
         )
+        carried.plain = view.run_chain(None, carry=carried.plain, keep=k + 1)[1]
         if flagged:
             stats.note = (stats.note + "; " if stats.note else "") + (
                 "singular activation gram; minimum-norm combination"
@@ -209,6 +266,12 @@ def train_sal(
             )
         )
         grade_offset = 2
+    node_keys = []
+    for gcfg in cfg.grades:
+        sm = _component_smoother(gcfg)
+        node_keys.append(None if sm is None else smoothing.node_key(sm))
+    train_carried = _Carried(model, x, node_keys)
+    test_carried = _Carried(model, test.inputs, node_keys) if track_test else None
     for i, gcfg in enumerate(cfg.grades):
         if gcfg.solver.init != "zero":
             # vary the random start per grade so equal-width grades do not
@@ -217,14 +280,14 @@ def train_sal(
                 gcfg, solver=replace(gcfg.solver, init_seed=gcfg.solver.init_seed + i)
             )
         try:
-            grade, residual, record = train_grade(model, dataset, residual, gcfg)
+            grade, residual, record = train_grade(model, dataset, residual, gcfg, train_carried)
         except Exception as exc:
             partial = TrainReport(records=records, total_time_s=time.perf_counter() - start)
             raise TrainError(str(exc), model=model, report=partial) from exc
         model.grades.append(grade)
         record.grade = grade_offset + i
         if track_test:
-            test_pred = test_pred + model.component_values(i, test.inputs)
+            test_pred = test_pred + test_carried.component(model, i, advance=True)
             record.rse_test = rse(test_pred, test.targets)
         records.append(record)
     report = TrainReport(
@@ -233,13 +296,3 @@ def train_sal(
         metadata={"smoothing_metrics": "after", "hybrid": cfg.head is not None},
     )
     return model, report
-
-
-def hybrid_train(
-    dataset: Dataset,
-    head_cfg: mlp.MlpTrainConfig,
-    grades: list[GradeConfig],
-    test: Dataset | None = None,
-) -> tuple[Model, TrainReport]:
-    """One non-convexly trained shallow grade, then the convex grades on its residual."""
-    return train_sal(dataset, TrainConfig(grades=grades, head=head_cfg), test=test)

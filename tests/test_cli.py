@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 from sal_learn import cli, mlp
-from sal_learn.cli import ConfigError, load_any_model, main, parse_config
+from sal_learn.cli import ConfigError, main, parse_config
 from sal_learn.model import Model
+from sal_learn.reporting import load_model
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -196,7 +197,7 @@ def test_train_sal_end_to_end(tmp_path, capsys):
     assert rse[1] <= rse[0] + 1e-12
     assert rows[1][6] != "" and rows[2][6] != ""
 
-    model = load_any_model(out / "sal_model.json")
+    model = load_model(out / "sal_model.json")
     assert isinstance(model, Model)
     assert len(model.grades) == 2
 
@@ -295,7 +296,7 @@ def test_train_ssg_end_to_end(tmp_path):
     assert rows[0][:4] == ["structure", "alpha", "epsilon", "epoch"]
     assert [r[3] for r in rows[1:]] == ["10", "40"]
     assert rows[1][0] == "6x1"
-    params = load_any_model(out / "ssg_model.json")
+    params = load_model(out / "ssg_model.json")
     assert isinstance(params, mlp.MlpParams)
     doc_json = json.loads((out / "ssg_model.json").read_text())
     assert doc_json["kind"] == "mlp" and doc_json["format_version"] == 1
@@ -338,6 +339,31 @@ def test_eval_matches_training_report(tmp_path, capsys):
     assert lines[0].startswith("rse(train) = ")
     assert lines[1].startswith("rse(test) = ")
     assert float(lines[0].split("=")[1]) == pytest.approx(reported, rel=1e-9)
+
+
+def test_eval_missing_model_exits_with_2(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, sal_doc())
+    missing = str(tmp_path / "absent.json")
+    assert main(["eval", "--model", missing, "--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("model error: ") and "absent.json" in err
+    assert err.count("\n") == 1
+
+
+def test_eval_malformed_model_exits_with_2(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, sal_doc())
+    cases = (
+        ("truncated.json", '{"grades": ['),
+        ("version.json", '{"format_version": 7, "grades": []}'),
+        ("keys.json", '{"format_version": 1, "input_dim": 1, "output_dim": 1, "grades": [{}]}'),
+    )
+    for name, text in cases:
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["eval", "--model", str(path), "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("model error: ") and name in err
+        assert err.count("\n") == 1
 
 
 def test_command_is_required():

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
+import chain_reference as ref
+from sal_learn import mlp, smoothing
+from sal_learn.rng import SplitMix64
 from sal_learn.model import (
+    BLOCK_ROWS,
     IDENTITY,
     RELU,
     SINCOS_HALF,
@@ -153,6 +157,60 @@ def test_features_upto_zero_is_input():
     model = _toy_model()
     x = np.array([[0.5], [2.0]])
     assert np.array_equal(model.features(x, upto=0), x)
+
+
+def _cascade(head):
+    """Six grades on 1-D input: plain, then three sharing one grid_steps node
+    set (the first with a combination activation, the last wider), then a
+    renormalized tau_multiples node set, then plain again."""
+    rng = np.random.default_rng(11)
+    shared = smoothing.GridSteps(25, 1e-3)
+    # widths near the desk's 100: OpenBLAS rounds short row blocks of such
+    # products differently from the full product, so a too-small block shows
+    specs = [
+        (100, SINCOS_HALF, None),
+        (100, combination([0.7, 0.4], [RELU, TANH]), smoothing.Smoother(0.01, shared, 401)),
+        (100, RELU, smoothing.Smoother(0.005, shared, 401)),
+        (120, TANH, smoothing.Smoother(0.004, shared, 401)),
+        (100, RELU, smoothing.Smoother(0.01, smoothing.TauMultiples(3.0), 401, renormalize=True)),
+        (100, RELU, None),
+    ]
+    model = Model(1, 2, head=head)
+    prev = 1 if head is None else head.weights[-2].shape[0]
+    for width, act, sm in specs:
+        model.grades.append(
+            Grade(
+                weight=rng.standard_normal((width, prev)) / np.sqrt(prev),
+                bias=rng.standard_normal(width),
+                pooling=Pooling(2, width - 2),
+                activation=act,
+                smoother=sm,
+            )
+        )
+        prev = width
+    return model
+
+
+@pytest.mark.parametrize("hybrid", [False, True])
+def test_blocked_evaluation_matches_reference_chain(hybrid):
+    head = None
+    if hybrid:
+        head = mlp.he_init(1, [5, 6], 2, [TANH, RELU], SplitMix64(4))
+    model = _cascade(head)
+    x = np.linspace(-0.9, 0.8, 83)[:, None]
+    nodes = x.shape[0] * 401
+    assert nodes > 2 * BLOCK_ROWS and nodes % BLOCK_ROWS != 0
+    expected = head.predict(x) if hybrid else np.zeros((x.shape[0], 2))
+    for k in range(len(model.grades)):
+        comp = ref.component(model, k, x)
+        assert np.array_equal(model.component_values(k, x), comp)
+        expected = expected + comp
+    assert np.array_equal(model.predict(x), expected)
+    points = np.linspace(-1.0, 1.0, nodes)[:, None]
+    a = head.hidden(points) if hybrid else points
+    for g in model.grades[:4]:
+        a = g.activation(a @ g.weight.T + g.bias)
+    assert np.array_equal(model.features(points, upto=4), a)
 
 
 def test_empty_model_predict_raises():

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sal_learn import qp, reporting
+from sal_learn import mlp, qp, reporting
 from sal_learn.data import make_train, target_nondiff
 from sal_learn.records import GradeRecord, TrainReport
 from sal_learn.train import GradeConfig, TrainConfig, train_sal
@@ -75,6 +75,19 @@ def test_model_save_is_idempotent_bytes(tmp_path):
     p2 = tmp_path / "b.json"
     reporting.save_model(model, p1)
     reporting.save_model(reporting.load_model(p1), p2)
+    assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_mlp_save_load_dispatch_and_idempotent_bytes(tmp_path):
+    ds = make_train(target_nondiff(), -1.0, 1.0, 0.0, 30)
+    params, _ = mlp.train_ssg(ds, mlp.MlpTrainConfig(widths=[4], epochs=5, seed=2))
+    p1 = tmp_path / "a.json"
+    p2 = tmp_path / "b.json"
+    reporting.save_mlp(params, p1)
+    clone = reporting.load_model(p1)
+    assert isinstance(clone, mlp.MlpParams)
+    assert np.array_equal(clone.predict(ds.inputs), params.predict(ds.inputs))
+    reporting.save_mlp(clone, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
+import chain_reference as ref
 from sal_learn import mlp, qp, smoothing
 from sal_learn.data import Dataset, make_test, make_train, target_nondiff, target_oscillatory
-from sal_learn.model import IDENTITY, RELU, SINCOS_HALF, Activation, Model, Pooling, sq_norm
+from sal_learn.model import BLOCK_ROWS, IDENTITY, RELU, SINCOS_HALF, TANH, Activation, Model, Pooling, sq_norm
 from sal_learn.train import (
     GradeConfig,
     TrainConfig,
     TrainError,
-    hybrid_train,
     rse,
     select_activation,
     train_sal,
@@ -214,7 +214,8 @@ def test_hybrid_head_then_grades():
     ds = make_train(target_nondiff(), -1.0, 1.0, 0.0, 60)
     test = make_test(target_nondiff(), -1.0, 1.0, 40, seed=3)
     head = mlp.MlpTrainConfig(widths=[8], alpha=1e-2, epochs=150, epsilon=1e-12, seed=2)
-    model, report = hybrid_train(ds, head, [GradeConfig(width=4, solver=DIRECT)], test=test)
+    cfg = TrainConfig([GradeConfig(width=4, solver=DIRECT)], head=head)
+    model, report = train_sal(ds, cfg, test=test)
     assert model.head is not None
     assert [r.grade for r in report.records] == [1, 2]
     assert report.metadata["hybrid"] is True
@@ -222,3 +223,43 @@ def test_hybrid_head_then_grades():
     assert report.records[-1].rse_test is not None
     pred = model.predict(test.inputs)
     assert rse(pred, test.targets) == pytest.approx(report.records[-1].rse_test, rel=1e-10)
+
+
+@pytest.mark.parametrize("hybrid", [False, True])
+def test_carried_training_matches_reference_chain(hybrid):
+    # three grades share one grid_steps node set (the first picks a
+    # combination activation, the last is wider), one has its own
+    # tau_multiples nodes; m * quad_points spans several row blocks
+    ds = make_train(target_nondiff(), -1.0, 1.0, 0.0, 101)
+    test = make_test(target_nondiff(), -1.0, 1.0, 60, seed=5)
+    shared = smoothing.GridSteps(20, 1e-3)
+    grades = [
+        GradeConfig(width=6, activation=SINCOS_HALF, solver=DIRECT),
+        GradeConfig(width=6, activation=[RELU, TANH], tau=0.01, window=shared, quad_points=401, solver=DIRECT),
+        GradeConfig(width=6, activation=RELU, tau=0.005, window=shared, quad_points=401, solver=DIRECT),
+        GradeConfig(width=8, activation=RELU, tau=0.004, window=shared, quad_points=401, solver=DIRECT),
+        GradeConfig(
+            width=6,
+            activation=TANH,
+            tau=0.01,
+            window=smoothing.TauMultiples(3.0),
+            quad_points=401,
+            solver=DIRECT,
+        ),
+        GradeConfig(width=6, activation=RELU, solver=DIRECT),
+    ]
+    assert ds.inputs.shape[0] * 401 > 2 * BLOCK_ROWS
+    head = mlp.MlpTrainConfig(widths=[5], epochs=30, seed=2) if hybrid else None
+    model, report = train_sal(ds, TrainConfig(grades, head=head), test=test)
+    records = report.records[1:] if hybrid else report.records
+    assert model.grades[1].activation.kind == "combination"
+    residual = ds.targets - model.head.predict(ds.inputs) if hybrid else ds.targets
+    test_pred = model.head.predict(test.inputs) if hybrid else np.zeros_like(test.targets)
+    for k, rec in enumerate(records):
+        comp = ref.component(model, k, ds.inputs)
+        assert np.array_equal(model.component_values(k, ds.inputs), comp)
+        residual = residual - comp
+        assert rec.rse_train == sq_norm(residual) / sq_norm(ds.targets)
+        test_pred = test_pred + ref.component(model, k, test.inputs)
+        assert rec.rse_test == rse(test_pred, test.targets)
+    assert np.array_equal(model.predict(test.inputs), test_pred)
