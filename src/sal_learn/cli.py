@@ -4,9 +4,6 @@ One JSON config drives every command so both training methods always see
 identical datasets.  Commands write their outputs (CSV report, model file,
 resolved-config echo, run log) into the output directory; everything except
 wall-time fields is deterministic given the config.
-
-The env var SAL_LEARN_THREADS (default 1) sets the data-parallel partition
-count for the per-sample reductions; results are bit-stable per count.
 """
 
 from __future__ import annotations
@@ -379,6 +376,18 @@ def _log(out_dir: Path, lines: list[str]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _grade_lines(report: TrainReport) -> list[str]:
+    """One run.log line per grade: iterations, rse_train and the solver's outcome."""
+    lines = []
+    for rec in report.records:
+        line = (
+            f"grade {rec.grade}: iterations={rec.iterations} rse_train={rec.rse_train:.5e}"
+            f" stop={rec.stop_reason}"
+        )
+        lines.append(line + (f" note={rec.note}" if rec.note else ""))
+    return lines
+
+
 def cmd_train_sal(cfg: RunConfig) -> int:
     if cfg.sal is None:
         print("error: config has no sal section", file=sys.stderr)
@@ -393,15 +402,12 @@ def cmd_train_sal(cfg: RunConfig) -> int:
     except train.TrainError as exc:
         partial = exc.report or TrainReport()
         write_csv(sal_report_rows(partial), csv_path, SAL_COLUMNS)
-        _log(out_dir, log + [f"FAILED: {exc}"])
+        _log(out_dir, log + _grade_lines(partial) + [f"FAILED: {exc}"])
         print(f"error: {exc}", file=sys.stderr)
         return 1
     write_csv(sal_report_rows(report), csv_path, SAL_COLUMNS)
     save_model(model, model_path)
-    for rec in report.records:
-        log.append(
-            f"grade {rec.grade}: iterations={rec.iterations} rse_train={rec.rse_train:.5e}"
-        )
+    log += _grade_lines(report)
     log.append(f"total_time_s: {report.total_time_s:.3f}")
     _log(out_dir, log)
     print(f"wrote {csv_path} and {model_path}")
@@ -521,7 +527,8 @@ def cmd_compare(cfg: RunConfig) -> int:
     with open(out_dir / "compare_summary.txt", "w") as fh:
         fh.write(summary + "\n")
     print(summary)
-    _log(out_dir, ["command: compare"] + lines)
+    grade_lines = _grade_lines(sal_report) if sal_report is not None else []
+    _log(out_dir, ["command: compare"] + grade_lines + lines)
     return 0 if sal_err is None and ssg_err is None else 1
 
 

@@ -94,6 +94,15 @@ def combination(weights, basis) -> Activation:
     )
 
 
+def _pairwise_lead(n: int) -> int:
+    """Length of the leading block that NumPy's float64 pairwise sum of n
+    contiguous values adds in 8 interleaved partial sums (0 for n < 8, which
+    NumPy adds one by one)."""
+    while n > 128:
+        n = n // 2 - (n // 2) % 8
+    return n - n % 8
+
+
 @dataclass(frozen=True)
 class Pooling:
     """Sliding-window average over mu+1 entries, stride 1: R^(d+mu) -> R^d.
@@ -124,15 +133,58 @@ class Pooling:
         return sliding_window_view(x, self.mu + 1, axis=-1).mean(axis=-1)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
-        """Apply the transpose of the induced matrix."""
+        """Apply the transpose of the induced matrix.
+
+        Column j of the result is the window sum of z[j : j+n] / n, where
+        n = mu+1 and z is y zero-padded by mu on each side, reduced by
+        NumPy's float64 pairwise sum.  Only the columns whose bits can
+        differ are reduced; the others are copies, so the result is bit for
+        bit that of reducing every window.
+
+        Why the copies are exact: over a contiguous axis NumPy adds the first
+        L positions in 8 interleaved partial sums, combines those as a fixed
+        tree, adds the tail, then adds the total to the identity 0.0 (for
+        n > 128 it first halves the axis into blocks of multiples of 8, and L
+        is the length of the leftmost block).  Column j's window holds y at
+        positions [mu-j, mu-j+t) and zeros elsewhere.  For an interior
+        column, lo <= j < hi with hi = mu+1 and lo = mu+t-L, those positions
+        lie inside [0, L).  Moving j by 8 puts every y entry into the same
+        partial sum in the same order and only changes how many +0.0 lead or
+        trail it in that partial sum; every partial sum that receives a y
+        entry still ends with a +0.0 after it, so even the sign of a zero
+        is kept.  The interior columns therefore repeat with period 8.
+        """
         y = np.asarray(y, dtype=float)
         if y.shape[-1] != self.out_dim:
             raise ValueError(f"adjoint expects last dim {self.out_dim}, got {y.shape[-1]}")
-        if self.mu == 0:
+        mu, t = self.mu, self.out_dim
+        if mu == 0:
             return y.copy()
-        pad = np.zeros(y.shape[:-1] + (self.mu,))
-        z = np.concatenate([pad, y, pad], axis=-1)
-        return sliding_window_view(z, self.mu + 1, axis=-1).sum(axis=-1) / (self.mu + 1)
+        n = mu + 1
+        lo, hi = max(0, mu + t - _pairwise_lead(n)), n
+        if hi - lo <= 8:
+            return self._window_sums(y, 0, t + mu) / n
+        out = np.empty(y.shape[:-1] + (t + mu,))
+        out[..., : lo + 8] = self._window_sums(y, 0, lo + 8)
+        if hi < t + mu:
+            out[..., hi:] = self._window_sums(y, hi, t + mu)
+        reps = out[..., lo : lo + 8]
+        q, rem = divmod(hi - lo - 8, 8)
+        body = out[..., lo + 8 : lo + 8 + 8 * q].reshape(y.shape[:-1] + (q, 8))
+        body[...] = reps[..., None, :]
+        out[..., hi - rem : hi] = reps[..., :rem]
+        out /= n
+        return out
+
+    def _window_sums(self, y: np.ndarray, first: int, stop: int) -> np.ndarray:
+        """Window sums of columns [first, stop) of the zero-padded y, built
+        from only the slice z[first : stop+mu] those windows cover."""
+        mu = self.mu
+        z = np.zeros(y.shape[:-1] + (stop - first + mu,))
+        a, b = max(first, mu), min(stop + mu, mu + self.out_dim)
+        if a < b:
+            z[..., a - first : b - first] = y[..., a - mu : b - mu]
+        return sliding_window_view(z, mu + 1, axis=-1).sum(axis=-1)
 
     def matrix(self) -> np.ndarray:
         p = np.zeros((self.out_dim, self.in_dim))
@@ -406,7 +458,10 @@ def _smoothing_to_dict(s: smoothing.Smoother | None) -> dict:
         mode = {"mode": "grid_steps", "count": s.window.count, "step": s.window.step}
     else:
         mode = {"mode": "tau_multiples", "factor": s.window.factor}
-    return {"tau": s.tau, "window_mode": mode, "M": s.quad_points}
+    doc = {"tau": s.tau, "window_mode": mode, "M": s.quad_points}
+    if s.renormalize:
+        doc["renormalize"] = True
+    return doc
 
 
 def _smoothing_from_dict(d: dict) -> smoothing.Smoother | None:
@@ -419,7 +474,9 @@ def _smoothing_from_dict(d: dict) -> smoothing.Smoother | None:
         window = smoothing.TauMultiples(float(wm["factor"]))
     else:
         raise ValueError(f"unknown window mode: {wm['mode']!r}")
-    return smoothing.Smoother(float(d["tau"]), window, int(d["M"]))
+    return smoothing.Smoother(
+        float(d["tau"]), window, int(d["M"]), bool(d.get("renormalize", False))
+    )
 
 
 def model_to_dict(model: Model) -> dict:

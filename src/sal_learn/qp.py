@@ -8,17 +8,11 @@ Nesterov's accelerated gradient with a constant 1/L step solves it
 iteratively; a direct two-stage oracle (unconstrained least squares by
 conjugate gradient on the normal equations, then a minimum-norm lift through
 the pooling matrix) provides the exact answer for ridge = 0.
-
-Per-sample reductions honor a fixed partition scheme (SAL_LEARN_THREADS,
-default 1): samples are split into that many contiguous chunks and the chunk
-results are accumulated left to right, so results are bit-stable for a given
-partition count.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -28,24 +22,12 @@ from .model import Pooling
 from .rng import SplitMix64
 
 
-def partitions_from_env() -> int:
-    raw = os.environ.get("SAL_LEARN_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"SAL_LEARN_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ValueError(f"SAL_LEARN_THREADS must be >= 1, got {n}")
-    return n
-
-
 @dataclass
 class Problem:
     features: np.ndarray  # (m, p): rows are N_{k-1} at the train points
     targets: np.ndarray  # (m, t): rows are the current residual
     pooling: Pooling
     ridge: float = 0.0
-    partitions: int = 1
 
     @property
     def n_samples(self) -> int:
@@ -61,7 +43,6 @@ def assemble(
     targets: np.ndarray,
     pooling: Pooling,
     ridge: float = 0.0,
-    partitions: int | None = None,
 ) -> Problem:
     features = np.asarray(features, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -77,15 +58,7 @@ def assemble(
         )
     if ridge < 0.0:
         raise ValueError("ridge must be nonnegative")
-    if partitions is None:
-        partitions = partitions_from_env()
-    return Problem(features, targets, pooling, float(ridge), int(partitions))
-
-
-def _chunk_bounds(m: int, parts: int) -> list[tuple[int, int]]:
-    parts = max(1, min(parts, m))
-    edges = [round(i * m / parts) for i in range(parts + 1)]
-    return [(edges[i], edges[i + 1]) for i in range(parts)]
+    return Problem(features, targets, pooling, float(ridge))
 
 
 def _params(problem: Problem, weight: np.ndarray, bias: np.ndarray):
@@ -108,9 +81,7 @@ def residual(problem: Problem, weight: np.ndarray, bias: np.ndarray) -> np.ndarr
 
 def objective(problem: Problem, weight: np.ndarray, bias: np.ndarray) -> float:
     r = residual(problem, weight, bias)
-    total = 0.0
-    for lo, hi in _chunk_bounds(problem.n_samples, problem.partitions):
-        total += float(np.sum(r[lo:hi] * r[lo:hi]))
+    total = float(np.sum(r * r))
     if problem.ridge > 0.0:
         total += problem.ridge * (float(np.sum(weight * weight)) + float(np.sum(bias * bias)))
     return total
@@ -122,11 +93,8 @@ def gradient(
     weight, bias = _params(problem, weight, bias)
     r = residual(problem, weight, bias)
     adj = problem.pooling.adjoint(r)  # rows are P^T r_j
-    grad_w = np.zeros_like(weight)
-    grad_b = np.zeros_like(bias)
-    for lo, hi in _chunk_bounds(problem.n_samples, problem.partitions):
-        grad_w += adj[lo:hi].T @ problem.features[lo:hi]
-        grad_b += adj[lo:hi].sum(axis=0)
+    grad_w = adj.T @ problem.features
+    grad_b = adj.sum(axis=0)
     grad_w *= -2.0
     grad_b *= -2.0
     if problem.ridge > 0.0:

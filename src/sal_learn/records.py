@@ -16,6 +16,10 @@ class GradeRecord:
     train_time_s: float
     rse_train: float
     rse_test: float | None = None
+    # SolveStats.stop_reason ("epsilon" | "max_iters" | "direct"); for a
+    # hybrid head, the Adam run's ("epsilon" | "epochs")
+    stop_reason: str = ""
+    note: str = ""  # fallbacks taken: a stagnated CG, a singular activation gram
 
 
 @dataclass

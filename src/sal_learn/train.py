@@ -229,6 +229,8 @@ def train_grade(
         train_time_s=time.perf_counter() - start,
         rse_train=sq_norm(new_residual) / sq_norm(dataset.targets),
         rse_test=None,
+        stop_reason=stats.stop_reason,
+        note=stats.note,
     )
     return grade, new_residual, record
 
@@ -263,6 +265,7 @@ def train_sal(
                 train_time_s=head_report.total_time_s,
                 rse_train=sq_norm(residual) / sq_norm(y),
                 rse_test=rse(test_pred, test.targets) if track_test else None,
+                stop_reason=head_report.metadata.get("stop_reason", ""),
             )
         )
         grade_offset = 2

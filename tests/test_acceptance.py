@@ -222,14 +222,14 @@ def test_c06_gradient_oracles():
 
     # convex-stage gradients on every problem shape used by the unit tests
     qp_shapes = [
-        (9, 3, 4, 2, 0.0, None), (9, 3, 4, 2, 0.3, None), (14, 3, 4, 1, 0.0, None),
-        (12, 5, 7, 3, 0.0, None), (10, 4, 5, 2, 0.0, 3),
+        (9, 3, 4, 2, 0.0), (9, 3, 4, 2, 0.3), (14, 3, 4, 1, 0.0),
+        (12, 5, 7, 3, 0.0), (10, 4, 5, 2, 0.0),
     ]
-    for m, p, d, t, ridge, parts in qp_shapes:
+    for m, p, d, t, ridge in qp_shapes:
         rng = SplitMix64(40 + m)
         feats = rng.standard_normals(m * p).reshape(m, p)
         targets = rng.standard_normals(m * t).reshape(m, t)
-        prob = qp.assemble(feats, targets, Pooling(out_dim=t, mu=d - t), ridge=ridge, partitions=parts)
+        prob = qp.assemble(feats, targets, Pooling(out_dim=t, mu=d - t), ridge=ridge)
         w = rng.standard_normals(d * p).reshape(d, p)
         b = rng.standard_normals(d)
         gw, gb = qp.gradient(prob, w, b)

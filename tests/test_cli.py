@@ -210,6 +210,22 @@ def test_train_sal_end_to_end(tmp_path, capsys):
     assert "grade 1:" in log and "total_time_s:" in log
 
 
+def test_run_log_names_each_grade_solver_outcome(tmp_path):
+    doc = sal_doc()
+    doc["sal"]["grades"][0].update(
+        {"method": "nesterov", "init": "randn", "epsilon": 1e-15, "max_iters": 5}
+    )
+    out = tmp_path / "out"
+    assert main(["train-sal", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    lines = (out / "run.log").read_text().splitlines()
+    grade_lines = [line for line in lines if line.startswith("grade ")]
+    assert grade_lines[0].startswith("grade 1: iterations=5 ")
+    assert grade_lines[0].endswith(" stop=max_iters")
+    assert " stop=direct" in grade_lines[1]
+    header = read_csv_rows(out / "sal_report.csv")[0]
+    assert "stop_reason" not in header and "note" not in header
+
+
 def masked_report(path):
     """CSV rows with the wall-time column blanked out."""
     rows = read_csv_rows(path)
@@ -265,7 +281,9 @@ def test_train_sal_failure_leaves_partial_report(tmp_path, capsys):
     assert "grade 2 failed" in capsys.readouterr().err
     rows = read_csv_rows(out / "sal_report.csv")
     assert [r[0] for r in rows[1:]] == ["1", "total_time"]  # grade 1 survived
-    assert "FAILED:" in (out / "run.log").read_text()
+    log = (out / "run.log").read_text()
+    assert "grade 1: iterations=" in log and " stop=direct" in log  # the grade that survived
+    assert "FAILED:" in log
     assert not (out / "sal_model.json").exists()
 
 
@@ -324,6 +342,7 @@ def test_compare_end_to_end(tmp_path, capsys):
     assert "rse <= 9.00000e-01" in summary
     assert "first to reach" in summary
     assert summary.strip() in capsys.readouterr().out
+    assert "grade 1: iterations=" in (out / "run.log").read_text()
 
 
 def test_eval_matches_training_report(tmp_path, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import chain_reference as ref
+import pooling_reference as pool_ref
 from sal_learn import mlp, smoothing
 from sal_learn.rng import SplitMix64
 from sal_learn.model import (
@@ -67,6 +68,78 @@ def test_pool_batched_rows():
     got = p.apply(batch)
     assert got.shape == (2, 2)
     assert np.allclose(got, [[1.5, 2.5], [0.0, 3.0]])
+
+
+def _assert_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _spread(rng, shape):
+    """Normals times powers of ten, so that the summation order shows in the bits."""
+    return rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, size=shape)
+
+
+@pytest.mark.parametrize(
+    "m, t, mu",
+    [
+        (1001, 1, 99),  # the kinked desk grades
+        (2001, 20, 108),  # the oscillatory desk grade
+        (7, 3, 0),  # identity
+        (9, 4, 5),  # n < 8
+        (9, 2, 7),  # n = 8
+        (40, 30, 127),  # n = 128, one pairwise block
+        (40, 30, 128),  # n = 129, halved once
+        (40, 50, 299),  # n = 300, halved twice
+        (6, 40, 20),  # t >= mu + 1: no interior columns
+        (3, 113, 120),  # interior of 8 columns: reduced in full
+        (3, 112, 120),  # interior of 9 columns: one copy
+    ],
+)
+def test_pool_adjoint_matches_reference_bits(m, t, mu):
+    rng = np.random.default_rng(m * 1000 + t * 10 + mu)
+    pool = Pooling(t, mu)
+    y = _spread(rng, (m, t))
+    _assert_bits(pool.adjoint(y), pool_ref.adjoint(pool, y))
+    x = _spread(rng, (m, pool.in_dim))
+    _assert_bits(pool.apply(x), pool_ref.apply(pool, x))
+
+
+@pytest.mark.parametrize("t, mu", [(1, 99), (20, 108), (3, 5), (4, 0), (2, 300)])
+def test_pool_adjoint_one_and_three_dim_inputs(t, mu):
+    rng = np.random.default_rng(t + mu)
+    pool = Pooling(t, mu)
+    for shape in [(t,), (3, 4, t)]:
+        y = _spread(rng, shape)
+        _assert_bits(pool.adjoint(y), pool_ref.adjoint(pool, y))
+
+
+def test_pool_adjoint_keeps_signed_zeros():
+    rng = np.random.default_rng(5)
+    for t, mu in [(1, 99), (20, 108), (6, 40), (3, 200)]:
+        pool = Pooling(t, mu)
+        y = _spread(rng, (8, t))
+        y[0] = 0.0
+        y[1] = -0.0
+        y[2, ::2] = -0.0
+        y[3, 1::2] = 0.0
+        y[4] = np.where(rng.random(t) < 0.5, -0.0, 0.0)
+        got = pool.adjoint(y)
+        _assert_bits(got, pool_ref.adjoint(pool, y))
+        assert not np.any(got[:2])
+
+
+def test_pool_adjoint_random_shapes_match_reference_bits():
+    rng = np.random.default_rng(2024)
+    for _ in range(240):
+        m = int(rng.integers(1, 12))
+        t = int(rng.integers(1, 48))
+        mu = int(rng.integers(0, 320))
+        pool = Pooling(t, mu)
+        y = _spread(rng, (m, t))
+        y[rng.random((m, t)) < 0.1] = -0.0
+        _assert_bits(pool.adjoint(y), pool_ref.adjoint(pool, y))
 
 
 def test_activation_values():
@@ -242,6 +315,32 @@ def test_serialization_roundtrip():
     x = np.linspace(-2, 2, 9).reshape(-1, 1)
     assert np.array_equal(back.predict(x), model.predict(x))
     assert doc == model_to_dict(back)
+
+
+def test_serialization_keeps_renormalized_smoother():
+    rng = np.random.default_rng(3)
+    sm = smoothing.Smoother(0.05, smoothing.TauMultiples(3.0), 21, renormalize=True)
+    model = Model(1, 1)
+    model.grades.append(
+        Grade(
+            weight=rng.standard_normal((3, 1)),
+            bias=rng.standard_normal(3),
+            pooling=Pooling(1, 2),
+            activation=RELU,
+            smoother=sm,
+        )
+    )
+    doc = model_to_dict(model)
+    assert doc["grades"][0]["smoothing"]["renormalize"] is True
+    back = model_from_dict(doc)
+    assert back.grades[0].smoother == sm
+    x = np.linspace(-1, 1, 7)[:, None]
+    assert np.array_equal(back.predict(x), model.predict(x))
+    # a plain smoother writes no renormalize key, so older files keep their bytes
+    plain = smoothing.Smoother(0.05, smoothing.TauMultiples(3.0), 21)
+    model.grades[0].smoother = plain
+    assert "renormalize" not in model_to_dict(model)["grades"][0]["smoothing"]
+    assert model_from_dict(model_to_dict(model)).grades[0].smoother == plain
 
 
 def test_grade_validation():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import pooling_reference as pool_ref
 from sal_learn.model import Pooling
 from sal_learn.rng import SplitMix64
 from sal_learn import qp
@@ -108,33 +109,24 @@ def test_lipschitz_bound_dominates_gradient_curvature():
         assert num <= lip * den * (1 + 1e-9)
 
 
-def test_partition_count_does_not_change_values():
-    base = small_problem()
-    split = qp.assemble(base.features, base.targets, base.pooling, partitions=4)
-    rng = SplitMix64(9)
-    shape = (base.pooling.in_dim, base.n_features)
-    w = rng.standard_normals(shape[0] * shape[1]).reshape(shape)
-    b = rng.standard_normals(shape[0])
-    # chunked reductions reorder the floating-point sums, so identity is
-    # up to rounding, not bitwise
-    assert qp.objective(base, w, b) == pytest.approx(qp.objective(split, w, b), rel=1e-13)
-    gw1, gb1 = qp.gradient(base, w, b)
-    gw2, gb2 = qp.gradient(split, w, b)
-    assert np.allclose(gw1, gw2, atol=1e-12)
-    assert np.allclose(gb1, gb2, atol=1e-12)
-
-
-def test_partitions_from_env(monkeypatch):
-    monkeypatch.delenv("SAL_LEARN_THREADS", raising=False)
-    assert qp.partitions_from_env() == 1
-    monkeypatch.setenv("SAL_LEARN_THREADS", "3")
-    assert qp.partitions_from_env() == 3
-    monkeypatch.setenv("SAL_LEARN_THREADS", "0")
-    with pytest.raises(ValueError):
-        qp.partitions_from_env()
-    monkeypatch.setenv("SAL_LEARN_THREADS", "soup")
-    with pytest.raises(ValueError):
-        qp.partitions_from_env()
+@pytest.mark.parametrize("ridge", [0.0, 0.3])
+def test_gradient_bits_match_reference_adjoint(ridge):
+    rng = SplitMix64(12)
+    m, p, t, mu = 301, 6, 20, 108
+    feats = rng.standard_normals(m * p).reshape(m, p)
+    targets = rng.standard_normals(m * t).reshape(m, t)
+    prob = qp.assemble(feats, targets, Pooling(t, mu), ridge=ridge)
+    w = rng.standard_normals((t + mu) * p).reshape(t + mu, p)
+    b = rng.standard_normals(t + mu)
+    gw, gb = qp.gradient(prob, w, b)
+    adj = pool_ref.adjoint(prob.pooling, qp.residual(prob, w, b))
+    want_w = -2.0 * (adj.T @ feats)
+    want_b = -2.0 * adj.sum(axis=0)
+    if ridge > 0.0:
+        want_w += 2.0 * ridge * w
+        want_b += 2.0 * ridge * b
+    assert np.array_equal(gw, want_w)
+    assert np.array_equal(gb, want_b)
 
 
 def test_solver_config_validation():

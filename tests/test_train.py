@@ -107,6 +107,23 @@ def test_select_activation_flags_singular_gram():
     assert np.allclose(combined, residual, atol=1e-10)
 
 
+def test_grade_records_carry_solver_outcome():
+    x = np.linspace(-1.0, 1.0, 40)
+    ds = Dataset(x[:, None], np.abs(x)[:, None], "train_grid", -1.0, 1.0)
+    capped = qp.SolverConfig(epsilon=1e-15, max_iters=3, init="randn")
+    cfg = TrainConfig(
+        grades=[
+            GradeConfig(width=3, activation=RELU, solver=capped),
+            GradeConfig(width=3, activation=[RELU, RELU], solver=DIRECT),
+        ]
+    )
+    _, report = train_sal(ds, cfg)
+    first, second = report.records
+    assert (first.stop_reason, first.iterations, first.note) == ("max_iters", 3, "")
+    assert second.stop_reason == "direct"
+    assert "singular activation gram" in second.note
+
+
 def test_activation_selection_inside_training():
     ds = make_train(target_nondiff(), -1.0, 1.0, 0.0, 40)
     cfg = TrainConfig(
