@@ -363,11 +363,17 @@ def _build_datasets(cfg: RunConfig):
     return train_set, test_set
 
 
-def _prepare_out(cfg: RunConfig) -> Path:
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    with open(cfg.out_dir / "config_echo.json", "w") as fh:
-        json.dump(cfg.echo, fh, indent=2)
-        fh.write("\n")
+def _prepare_out(cfg: RunConfig) -> Path | None:
+    """Create the output directory and echo the config there; None (after one
+    `output error` line) when that fails."""
+    try:
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        with open(cfg.out_dir / "config_echo.json", "w") as fh:
+            json.dump(cfg.echo, fh, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return None
     return cfg.out_dir
 
 
@@ -393,6 +399,8 @@ def cmd_train_sal(cfg: RunConfig) -> int:
         print("error: config has no sal section", file=sys.stderr)
         return 2
     out_dir = _prepare_out(cfg)
+    if out_dir is None:
+        return 2
     csv_path = out_dir / (cfg.csv_name or "sal_report.csv")
     model_path = out_dir / (cfg.model_name or "sal_model.json")
     train_set, test_set = _build_datasets(cfg)
@@ -419,6 +427,8 @@ def cmd_train_ssg(cfg: RunConfig) -> int:
         print("error: config has no ssg section", file=sys.stderr)
         return 2
     out_dir = _prepare_out(cfg)
+    if out_dir is None:
+        return 2
     csv_path = out_dir / (cfg.csv_name or "ssg_report.csv")
     model_path = out_dir / (cfg.model_name or "ssg_model.json")
     train_set, test_set = _build_datasets(cfg)
@@ -462,6 +472,8 @@ def cmd_compare(cfg: RunConfig) -> int:
         print("error: compare needs an ssg section", file=sys.stderr)
         return 2
     out_dir = _prepare_out(cfg)
+    if out_dir is None:
+        return 2
     csv_path = out_dir / (cfg.csv_name or "compare.csv")
     train_set, test_set = _build_datasets(cfg)
 
@@ -539,6 +551,14 @@ def cmd_eval(model_path, cfg: RunConfig) -> int:
         print(f"model error: {exc}", file=sys.stderr)
         return 2
     train_set, test_set = _build_datasets(cfg)
+    data_dims = (train_set.inputs.shape[1], train_set.targets.shape[1])
+    if (model.input_dim, model.output_dim) != data_dims:
+        print(
+            f"model error: model maps {model.input_dim} -> {model.output_dim} dims,"
+            f" the config's data {data_dims[0]} -> {data_dims[1]}",
+            file=sys.stderr,
+        )
+        return 2
     pred = model.predict(train_set.inputs)
     print(f"rse(train) = {train.rse(pred, train_set.targets):.5e}")
     if test_set is not None:

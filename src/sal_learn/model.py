@@ -161,6 +161,10 @@ class Pooling:
         if mu == 0:
             return y.copy()
         n = mu + 1
+        if t == 1:
+            # each window holds y among +0.0s, whose sum is exactly y + 0.0
+            # (y / n + 0.0 would differ where y / n underflows to -0.0)
+            return np.repeat((y + 0.0) / n, n, axis=-1)
         lo, hi = max(0, mu + t - _pairwise_lead(n)), n
         if hi - lo <= 8:
             return self._window_sums(y, 0, t + mu) / n
@@ -296,6 +300,8 @@ class Model:
         when the widths agree.
         """
         if carry is not None:
+            if points is not None and len(points) != len(carry.feats):
+                raise ValueError(f"carry has {len(carry.feats)} rows for {len(points)} points")
             points = carry.feats
         start = carry.depth if carry is not None else 0
         stop = max([k + 1 for k in wanted] + [keep or 0])
@@ -348,23 +354,22 @@ class Model:
         """Smoothed components of grades ks, which share one node set, at the
         rows of x.
 
-        The chain runs once at the quadrature nodes, when the first grade's
-        quadrature asks for its values (see run_chain for `carry` and
-        `keep`, which refer to the nodes); each grade's quadrature then
+        The chain runs once at the distinct quadrature nodes, when the first
+        grade's quadrature asks for its values (see run_chain for `carry` and
+        `keep`, which refer to those nodes); each grade's quadrature then
         weights its own raw values.
         """
         if self.input_dim != 1:
             raise ValueError("smoothing supports 1-D input only")
         xs = x[:, 0]
-        nodes = smoothing.quadrature_nodes(self.grades[ks[0]].smoother, xs)
         ran: dict[str, Any] = {}
 
         def raw(points: np.ndarray, k: int) -> np.ndarray:
-            if points.shape != nodes.shape or not np.array_equal(points, nodes):
+            if points is xs:
                 return self.run_chain(points[:, None], [k])[0][k]  # renormalizing base
             if not ran:
                 ran["comps"], ran["carry"] = self.run_chain(points[:, None], ks, carry, keep)
-            return ran["comps"][k]
+            return ran["comps"].pop(k)
 
         out = {
             k: smoothing.smooth_fn_grid(lambda p, k=k: raw(p, k), self.grades[k].smoother, xs)

@@ -126,19 +126,38 @@ def smooth_at(f: Callable[[np.ndarray], np.ndarray], sm: Smoother, x: float) -> 
 def smooth_fn_grid(
     f: Callable[[np.ndarray], np.ndarray], sm: Smoother, xs: np.ndarray
 ) -> np.ndarray:
-    """Vectorized smooth_at over many query points (offsets are x-independent)."""
+    """Vectorized smooth_at over many query points (offsets are x-independent).
+
+    f is called once on the distinct nodes (keyed by bit pattern, so -0.0
+    and +0.0 stay apart; a node set with no repeats is passed whole), and
+    the renormalized form calls it once more on xs itself.  Its values are
+    gathered into the offset-major (M, n, t) operand of the contraction.
+    At t = 1 that operand stays a transposed view of the point-major
+    values, the layout a plain evaluation of every node contracts, since
+    BLAS takes a different path (and may give different bits) for a
+    contiguous one.
+    """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1:
         raise ValueError("query points must be a 1-D array")
     offsets, weights = quadrature(sm)
+    n, m = xs.size, offsets.size
     nodes = quadrature_nodes(sm, xs)
-    vals = np.asarray(f(nodes), dtype=float)
-    vals = vals.reshape(xs.size, offsets.size, -1)
+    keys, inv = np.unique(nodes.view(np.int64), return_inverse=True)
+    if keys.size == nodes.size:
+        del keys, inv
+        vals = np.asarray(f(nodes), dtype=float).reshape(n, m, -1).transpose(1, 0, 2)
+    else:
+        del nodes
+        vals = np.asarray(f(keys.view(float)), dtype=float).reshape(keys.size, -1)
+        if vals.shape[1] == 1:
+            vals = vals[inv].reshape(n, m, 1).transpose(1, 0, 2)
+        else:
+            vals = vals[inv.reshape(n, m).T]
     if not sm.renormalize:
-        return np.tensordot(weights, vals.transpose(1, 0, 2), axes=1)
-    base = np.asarray(f(xs), dtype=float).reshape(xs.size, -1)
-    diff = vals - base[:, None, :]
-    return base + np.tensordot(weights, diff.transpose(1, 0, 2), axes=1)
+        return np.tensordot(weights, vals, axes=1)
+    base = np.asarray(f(xs), dtype=float).reshape(n, -1)
+    return base + np.tensordot(weights, vals - base, axes=1)
 
 
 def smooth_grid(values: np.ndarray, sm: Smoother, grid: np.ndarray) -> np.ndarray:

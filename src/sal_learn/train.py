@@ -72,10 +72,13 @@ class TrainConfig:
 
 def rse(predictions: np.ndarray, targets: np.ndarray) -> float:
     """Relative squared error: sum ||pred - y||^2 / sum ||y||^2."""
+    predictions, targets = np.asarray(predictions), np.asarray(targets)
+    if predictions.shape != targets.shape:
+        raise ValueError(f"rse of predictions {predictions.shape} against targets {targets.shape}")
     denom = sq_norm(targets)
     if denom == 0.0:
         raise ValueError("rse undefined for all-zero targets")
-    return sq_norm(np.asarray(predictions) - np.asarray(targets)) / denom
+    return sq_norm(predictions - targets) / denom
 
 
 def select_activation(

@@ -385,6 +385,44 @@ def test_eval_malformed_model_exits_with_2(tmp_path, capsys):
         assert err.count("\n") == 1
 
 
+def test_eval_model_of_other_dims_exits_with_2(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, sal_doc())
+    out = tmp_path / "run"
+    assert main(["train-sal", "--config", cfg_path, "--out", str(out)]) == 0
+    capsys.readouterr()
+    model_path = str(out / "sal_model.json")
+    doc = json.loads((out / "sal_model.json").read_text())
+    doc["input_dim"] = 2
+    wide_input = tmp_path / "wide_input.json"
+    wide_input.write_text(json.dumps(doc))
+    # the oscillatory target has 20 outputs; rse would broadcast (n, 1) against them
+    osc_cfg = write_config(
+        tmp_path, {"data": {"target": "oscillatory", "a": 0.0, "b": 1.0, "m": 41}}, "osc.json"
+    )
+    for model, cfg, dims in [
+        (str(wide_input), cfg_path, ("2 -> 1", "1 -> 1")),
+        (model_path, osc_cfg, ("1 -> 1", "1 -> 20")),
+    ]:
+        assert main(["eval", "--model", model, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("model error: ") and captured.err.count("\n") == 1
+        assert f"model maps {dims[0]} dims, the config's data {dims[1]}" in captured.err
+    assert main(["eval", "--model", model_path, "--config", cfg_path]) == 0
+
+
+@pytest.mark.parametrize("command", ["train-sal", "train-ssg", "compare"])
+def test_uncreatable_output_dir_exits_with_2(tmp_path, capsys, command):
+    doc = sal_doc(ssg={"widths": [4], "epochs": 5})
+    cfg_path = write_config(tmp_path, doc)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main([command, "--config", cfg_path, "--out", str(blocker / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and err.count("\n") == 1
+    assert str(blocker) in err
+
+
 def test_command_is_required():
     with pytest.raises(SystemExit):
         main([])

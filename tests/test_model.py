@@ -7,6 +7,7 @@ from sal_learn import mlp, smoothing
 from sal_learn.rng import SplitMix64
 from sal_learn.model import (
     BLOCK_ROWS,
+    Carry,
     IDENTITY,
     RELU,
     SINCOS_HALF,
@@ -128,6 +129,21 @@ def test_pool_adjoint_keeps_signed_zeros():
         got = pool.adjoint(y)
         _assert_bits(got, pool_ref.adjoint(pool, y))
         assert not np.any(got[:2])
+
+
+def test_pool_adjoint_single_output_matches_reference_bits():
+    # t = 1 takes the closed form: every window holds one y entry among +0.0s
+    rng = np.random.default_rng(1)
+    special = [0.0, -0.0, 5e-324, -5e-324, -1e-310, 1e300, -3.5]
+    for mu in range(1, 301):
+        pool = Pooling(1, mu)
+        for shape in [(1,), (len(special) + 4, 1), (2, 3, 1)]:
+            y = _spread(rng, shape)
+            if len(shape) == 2:
+                y[: len(special), 0] = special
+            got = pool.adjoint(y)
+            assert got.flags.c_contiguous
+            _assert_bits(got, pool_ref.adjoint(pool, y))
 
 
 def test_pool_adjoint_random_shapes_match_reference_bits():
@@ -284,6 +300,65 @@ def test_blocked_evaluation_matches_reference_chain(hybrid):
     for g in model.grades[:4]:
         a = g.activation(a @ g.weight.T + g.bias)
     assert np.array_equal(model.features(points, upto=4), a)
+
+
+def _smoothed_pair(t, sm, seed=3):
+    """A plain grade, then a smoothed one; widths 100 as in _cascade."""
+    rng = np.random.default_rng(seed)
+    model = Model(1, t)
+    for prev, act, smoother in [(1, SINCOS_HALF, None), (100, RELU, sm)]:
+        model.grades.append(
+            Grade(
+                weight=rng.standard_normal((100, prev)) / np.sqrt(prev),
+                bias=rng.standard_normal(100),
+                pooling=Pooling(t, 100 - t),
+                activation=act,
+                smoother=smoother,
+            )
+        )
+    return model
+
+
+def _tau_multiples(tau, renormalize=False):
+    return smoothing.Smoother(tau, smoothing.TauMultiples(6.0), 200, renormalize)
+
+
+GRID_201 = np.linspace(0.0, 1.0, 201)[:, None]
+
+
+@pytest.mark.parametrize(
+    "t, sm, x, distinct",
+    [
+        # a commensurate uniform grid: 30943 distinct of 40200 nodes, 2 row blocks
+        (20, _tau_multiples(0.004), GRID_201, 30943),
+        (1, _tau_multiples(0.004), GRID_201, 30943),
+        (20, _tau_multiples(0.005), GRID_201, 16807),
+        (1, _tau_multiples(0.005), GRID_201, 16807),
+        # random points: every node is distinct, so the node array is passed whole
+        (20, _tau_multiples(0.005), np.random.default_rng(8).uniform(0, 1, (150, 1)), 30000),
+        (1, _tau_multiples(0.005), np.random.default_rng(8).uniform(0, 1, (150, 1)), 30000),
+        (20, _tau_multiples(0.005, renormalize=True), GRID_201, 16807),
+        (1, _tau_multiples(0.005, renormalize=True), GRID_201, 16807),
+        # a distinct set under 500 rows, against a reference product of 1010 rows
+        (20, smoothing.Smoother(0.01, smoothing.GridSteps(5, 0.01), 10), GRID_201[::2], 203),
+        (1, smoothing.Smoother(0.01, smoothing.GridSteps(5, 0.01), 10), GRID_201[::2], 203),
+    ],
+)
+def test_distinct_node_evaluation_matches_reference(t, sm, x, distinct):
+    nodes = smoothing.quadrature_nodes(sm, x[:, 0])
+    assert np.unique(nodes.view(np.int64)).size == distinct
+    model = _smoothed_pair(t, sm)
+    comp = ref.component(model, 1, x)
+    assert np.array_equal(model.component_values(1, x), comp)
+    assert np.array_equal(model.predict(x), ref.component(model, 0, x) + comp)
+
+
+def test_carry_must_cover_the_points():
+    model = _smoothed_pair(1, _tau_multiples(0.005))
+    carry = Carry(1, np.zeros((4, 100)))
+    with pytest.raises(ValueError, match="4 rows for 3 points"):
+        model.run_chain(np.zeros((3, 1)), [1], carry)
+    assert model.run_chain(np.zeros((4, 1)), [1], carry)[0][1].shape == (4, 1)
 
 
 def test_empty_model_predict_raises():

@@ -11,6 +11,7 @@ from sal_learn.smoothing import (
     gaussian_eval,
     half_width,
     quadrature,
+    quadrature_nodes,
     smooth_at,
     smooth_fn_grid,
     smooth_grid,
@@ -103,6 +104,27 @@ def test_smooth_fn_grid_matches_smooth_at():
     assert batched.shape == (11, 2)
     for i, x in enumerate(grid):
         assert np.allclose(batched[i], smooth_at(f, sm, x), atol=1e-12)
+
+
+@pytest.mark.parametrize("renormalize", [False, True])
+def test_smooth_fn_grid_evaluates_each_distinct_node_once(renormalize):
+    # the grid step is a whole number of node spacings, so nodes repeat
+    sm = Smoother(tau=0.01, window=GridSteps(5, 0.01), quad_points=10, renormalize=renormalize)
+    grid = np.linspace(0.0, 1.0, 101)
+    calls = []
+
+    def f(points):
+        calls.append(points.copy())
+        return np.column_stack([np.sin(points), points**2])
+
+    smooth_fn_grid(f, sm, grid)
+    assert len(calls) == (2 if renormalize else 1)
+    seen = calls[0].view(np.int64)
+    distinct = np.unique(quadrature_nodes(sm, grid).view(np.int64))
+    assert distinct.size < grid.size * 10
+    assert np.array_equal(np.sort(seen), distinct)
+    if renormalize:
+        assert np.array_equal(calls[1], grid)
 
 
 def test_smoothing_linearity():

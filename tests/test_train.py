@@ -31,6 +31,14 @@ def test_rse_trivial_values():
         rse(y, np.zeros_like(y))
 
 
+def test_rse_rejects_mismatched_shapes():
+    y = np.arange(1.0, 7.0).reshape(3, 2)
+    with pytest.raises(ValueError, match=r"\(3, 1\).*\(3, 2\)"):
+        rse(y[:, :1], y)  # would broadcast to (3, 2)
+    with pytest.raises(ValueError):
+        rse(y[:2], y)
+
+
 def test_single_grade_fits_affine_target_exactly():
     ds = affine_dataset()
     cfg = TrainConfig(grades=[GradeConfig(width=3, activation=RELU, solver=DIRECT)])
@@ -280,3 +288,30 @@ def test_carried_training_matches_reference_chain(hybrid):
         test_pred = test_pred + ref.component(model, k, test.inputs)
         assert rec.rse_test == rse(test_pred, test.targets)
     assert np.array_equal(model.predict(test.inputs), test_pred)
+
+
+def test_carry_at_distinct_nodes_matches_reference_chain():
+    # two consecutive grades with one node key on a uniform grid whose step
+    # is commensurate with the node spacing: the second grade starts from
+    # the first one's features at the distinct nodes only
+    ds = make_train(target_nondiff(), 0.0, 1.0, 0.0, 201)
+    test = make_test(target_nondiff(), 0.0, 1.0, 40, seed=3)
+    window = smoothing.TauMultiples(6.0)
+    grades = [
+        GradeConfig(width=6, activation=SINCOS_HALF, solver=DIRECT),
+        GradeConfig(width=6, activation=[RELU, TANH], tau=0.005, window=window, quad_points=200, solver=DIRECT),
+        GradeConfig(width=8, activation=TANH, tau=0.005, window=window, quad_points=200, solver=DIRECT),
+        GradeConfig(width=6, activation=RELU, tau=0.005, window=window, quad_points=200, solver=DIRECT),
+    ]
+    nodes = smoothing.quadrature_nodes(smoothing.Smoother(0.005, window, 200), ds.inputs[:, 0])
+    assert np.unique(nodes.view(np.int64)).size < nodes.size // 2
+    model, report = train_sal(ds, TrainConfig(grades), test=test)
+    assert model.grades[1].activation.kind == "combination"
+    residual, test_pred = ds.targets, np.zeros_like(test.targets)
+    for k, rec in enumerate(report.records):
+        comp = ref.component(model, k, ds.inputs)
+        assert np.array_equal(model.component_values(k, ds.inputs), comp)
+        residual = residual - comp
+        assert rec.rse_train == sq_norm(residual) / sq_norm(ds.targets)
+        test_pred = test_pred + ref.component(model, k, test.inputs)
+        assert rec.rse_test == rse(test_pred, test.targets)
