@@ -231,6 +231,8 @@ def parse_config(
             resolved_data[key] = data_doc[key]
     if resolved_data["target"] not in ("nondiff", "oscillatory", "custom"):
         raise ConfigError("data.target must be 'nondiff', 'oscillatory', or 'custom'")
+    if resolved_data["m"] < 2:
+        raise ConfigError("data.m must be >= 2 (the train grid's two ends)")
 
     sal_cfg = None
     if "sal" in doc:
@@ -352,10 +354,20 @@ def _echo_mlp(cfg: mlp.MlpTrainConfig) -> dict:
 
 
 def _build_datasets(cfg: RunConfig):
+    """The train and test sets; None (after one `data error` line) when the
+    target's file cannot be read or holds no valid target."""
     d = cfg.data
-    target = bench.get_target(
-        d["target"], coeff_path=d.get("coeff_file"), custom_path=d.get("custom_file")
-    )
+    path = d.get("custom_file" if d["target"] == "custom" else "coeff_file")
+    try:
+        target = bench.get_target(
+            d["target"], coeff_path=d.get("coeff_file"), custom_path=d.get("custom_file")
+        )
+    except OSError as exc:
+        print(f"data error: cannot read {path}: {exc.strerror or exc}", file=sys.stderr)
+        return None
+    except ValueError as exc:
+        print(f"data error: {path + ': ' if path else ''}{exc}", file=sys.stderr)
+        return None
     train_set = bench.make_train(target, d["a"], d["b"], d["delta"], d["m"])
     test_set = None
     if d["m_test"] > 0:
@@ -383,13 +395,17 @@ def _log(out_dir: Path, lines: list[str]) -> None:
 
 
 def _grade_lines(report: TrainReport) -> list[str]:
-    """One run.log line per grade: iterations, rse_train and the solver's outcome."""
+    """One run.log line per grade: iterations, rse_train and the solver's
+    outcome, with the final objective and the Lipschitz estimate of a
+    Nesterov solve."""
     lines = []
     for rec in report.records:
         line = (
             f"grade {rec.grade}: iterations={rec.iterations} rse_train={rec.rse_train:.5e}"
             f" stop={rec.stop_reason}"
         )
+        if rec.lipschitz is not None:
+            line += f" objective={rec.objective:.6e} lipschitz={rec.lipschitz:.6e}"
         lines.append(line + (f" note={rec.note}" if rec.note else ""))
     return lines
 
@@ -398,12 +414,13 @@ def cmd_train_sal(cfg: RunConfig) -> int:
     if cfg.sal is None:
         print("error: config has no sal section", file=sys.stderr)
         return 2
-    out_dir = _prepare_out(cfg)
+    datasets = _build_datasets(cfg)
+    out_dir = _prepare_out(cfg) if datasets is not None else None
     if out_dir is None:
         return 2
+    train_set, test_set = datasets
     csv_path = out_dir / (cfg.csv_name or "sal_report.csv")
     model_path = out_dir / (cfg.model_name or "sal_model.json")
-    train_set, test_set = _build_datasets(cfg)
     log = [f"command: train-sal", f"train points: {train_set.inputs.shape[0]}"]
     try:
         model, report = train.train_sal(train_set, cfg.sal, test=test_set)
@@ -426,12 +443,13 @@ def cmd_train_ssg(cfg: RunConfig) -> int:
     if cfg.ssg is None:
         print("error: config has no ssg section", file=sys.stderr)
         return 2
-    out_dir = _prepare_out(cfg)
+    datasets = _build_datasets(cfg)
+    out_dir = _prepare_out(cfg) if datasets is not None else None
     if out_dir is None:
         return 2
+    train_set, test_set = datasets
     csv_path = out_dir / (cfg.csv_name or "ssg_report.csv")
     model_path = out_dir / (cfg.model_name or "ssg_model.json")
-    train_set, test_set = _build_datasets(cfg)
     try:
         params, report = mlp.train_ssg(train_set, cfg.ssg, test=test_set)
     except RuntimeError as exc:
@@ -471,11 +489,12 @@ def cmd_compare(cfg: RunConfig) -> int:
     if cfg.ssg is None:
         print("error: compare needs an ssg section", file=sys.stderr)
         return 2
-    out_dir = _prepare_out(cfg)
+    datasets = _build_datasets(cfg)
+    out_dir = _prepare_out(cfg) if datasets is not None else None
     if out_dir is None:
         return 2
+    train_set, test_set = datasets
     csv_path = out_dir / (cfg.csv_name or "compare.csv")
-    train_set, test_set = _build_datasets(cfg)
 
     sal_report = ssg_report = None
     sal_err = ssg_err = None
@@ -550,7 +569,10 @@ def cmd_eval(model_path, cfg: RunConfig) -> int:
     except (OSError, ValueError) as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return 2
-    train_set, test_set = _build_datasets(cfg)
+    datasets = _build_datasets(cfg)
+    if datasets is None:
+        return 2
+    train_set, test_set = datasets
     data_dims = (train_set.inputs.shape[1], train_set.targets.shape[1])
     if (model.input_dim, model.output_dim) != data_dims:
         print(

@@ -22,6 +22,11 @@ FORMAT_VERSION = 1
 # Rows per block of the feature recursion: 16384 rows of width 128 are 16 MB.
 BLOCK_ROWS = 16384
 
+# Rows per block of pooling with more than one output: a block's work arrays
+# (slices of 512 rows by the window columns) stay in cache, and no array of
+# the full row count is allocated besides the result.
+WINDOW_ROWS = 512
+
 _BASE_KINDS = ("identity", "relu", "leaky_relu", "tanh", "sincos_half")
 
 
@@ -103,12 +108,78 @@ def _pairwise_lead(n: int) -> int:
     return n - n % 8
 
 
+def _pairwise_slices(x: np.ndarray, first: int, n: int, count: int) -> np.ndarray:
+    """NumPy's float64 pairwise sum of x[:, c+first : c+first+n] for every
+    c < count, each step done for all c at once as one whole-slice add.
+
+    The order is that of NumPy's reduction loop: below 8 values it adds them
+    one by one to 0.0; up to 128 it runs 8 interleaved partial sums over the
+    leading multiple of 8, combines them as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
+    and adds the tail one by one; above 128 it sums the two halves split at
+    n//2 rounded down to a multiple of 8 and adds them.  Lane j of window c
+    is lane c+j of the accumulator acc, so one acc serves every window.
+    """
+    if n < 8:
+        out = np.zeros((x.shape[0], count))
+        for i in range(first, first + n):
+            out += x[:, i : i + count]
+        return out
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        out = _pairwise_slices(x, first, half, count)
+        out += _pairwise_slices(x, first + half, n - half, count)
+        return out
+    lead = n - n % 8
+    acc = x[:, first : first + count + 7].copy()
+    for i in range(first + 8, first + lead, 8):
+        acc += x[:, i : i + count + 7]
+    lane = [acc[:, j : j + count] for j in range(8)]
+    out = lane[0] + lane[1]
+    out += lane[2] + lane[3]
+    right = lane[4] + lane[5]
+    right += lane[6] + lane[7]
+    out += right
+    for i in range(first + lead, first + n):
+        out += x[:, i : i + count]
+    return out
+
+
+def _pairwise_window_sums(x: np.ndarray, n: int) -> np.ndarray:
+    """The sum of every window of n consecutive columns of the 2-D x, bit
+    for bit that of sliding_window_view(x, n, axis=-1).sum(axis=-1): the
+    pairwise total, then added to the reduction's identity 0.0 (which turns
+    a -0.0 total into +0.0, as the reduction does)."""
+    out = _pairwise_slices(x, 0, n, x.shape[1] - n + 1)
+    out += 0.0
+    return out
+
+
+def _by_row_blocks(fill, x: np.ndarray, width: int) -> np.ndarray:
+    """Rows of width `width`, one per row of x (every leading index), made by
+    fill(x_block, out_block) over blocks of WINDOW_ROWS rows, so that each
+    block's work arrays stay in cache and no full-size temporary is built."""
+    rows = x.reshape(-1, x.shape[-1])
+    out = np.empty((rows.shape[0], width))
+    for r in range(0, rows.shape[0], WINDOW_ROWS):
+        fill(rows[r : r + WINDOW_ROWS], out[r : r + WINDOW_ROWS])
+    return out.reshape(x.shape[:-1] + (width,))
+
+
 @dataclass(frozen=True)
 class Pooling:
     """Sliding-window average over mu+1 entries, stride 1: R^(d+mu) -> R^d.
 
     The induced matrix has rows of mu+1 copies of 1/(mu+1) shifted one step
     per row; it always has full row rank, and mu=0 is the identity.
+
+    Both directions give the bits of NumPy's float64 pairwise reduction of
+    every window (tests/pooling_reference.py).  For out_dim > 1 they replay
+    that reduction's order with whole-slice adds (_pairwise_window_sums):
+    a few dozen adds over all windows at once instead of one reduction per
+    window, one block of WINDOW_ROWS rows at a time.  The replay adds the
+    same operands in the same order, so every rounding, and the sign of
+    every zero, is the same.  For out_dim == 1 each row has a single
+    window, and one reduction is about twice as fast as the replay there.
     """
 
     out_dim: int
@@ -130,7 +201,14 @@ class Pooling:
             raise ValueError(f"pooling expects last dim {self.in_dim}, got {x.shape[-1]}")
         if self.mu == 0:
             return x.copy()
-        return sliding_window_view(x, self.mu + 1, axis=-1).mean(axis=-1)
+        n = self.mu + 1
+        if self.out_dim == 1:
+            return sliding_window_view(x, n, axis=-1).mean(axis=-1)
+
+        def fill(block: np.ndarray, out: np.ndarray) -> None:
+            np.divide(_pairwise_window_sums(block, n), n, out=out)
+
+        return _by_row_blocks(fill, x, self.out_dim)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """Apply the transpose of the induced matrix.
@@ -138,8 +216,9 @@ class Pooling:
         Column j of the result is the window sum of z[j : j+n] / n, where
         n = mu+1 and z is y zero-padded by mu on each side, reduced by
         NumPy's float64 pairwise sum.  Only the columns whose bits can
-        differ are reduced; the others are copies, so the result is bit for
-        bit that of reducing every window.
+        differ are summed (by the replay, _pairwise_window_sums); the others
+        are copies, so the result is bit for bit that of reducing every
+        window.
 
         Why the copies are exact: over a contiguous axis NumPy adds the first
         L positions in 8 interleaved partial sums, combines those as a fixed
@@ -166,29 +245,32 @@ class Pooling:
             # (y / n + 0.0 would differ where y / n underflows to -0.0)
             return np.repeat((y + 0.0) / n, n, axis=-1)
         lo, hi = max(0, mu + t - _pairwise_lead(n)), n
-        if hi - lo <= 8:
-            return self._window_sums(y, 0, t + mu) / n
-        out = np.empty(y.shape[:-1] + (t + mu,))
-        out[..., : lo + 8] = self._window_sums(y, 0, lo + 8)
-        if hi < t + mu:
-            out[..., hi:] = self._window_sums(y, hi, t + mu)
-        reps = out[..., lo : lo + 8]
         q, rem = divmod(hi - lo - 8, 8)
-        body = out[..., lo + 8 : lo + 8 + 8 * q].reshape(y.shape[:-1] + (q, 8))
-        body[...] = reps[..., None, :]
-        out[..., hi - rem : hi] = reps[..., :rem]
-        out /= n
-        return out
+
+        def fill(block: np.ndarray, out: np.ndarray) -> None:
+            if hi - lo <= 8:
+                out[:] = self._window_sums(block, 0, t + mu)
+            else:
+                out[:, : lo + 8] = self._window_sums(block, 0, lo + 8)
+                if hi < t + mu:
+                    out[:, hi:] = self._window_sums(block, hi, t + mu)
+                reps = out[:, lo : lo + 8]
+                body = out[:, lo + 8 : lo + 8 + 8 * q].reshape(len(out), q, 8)
+                body[...] = reps[:, None, :]
+                out[:, hi - rem : hi] = reps[:, :rem]
+            out /= n
+
+        return _by_row_blocks(fill, y, t + mu)
 
     def _window_sums(self, y: np.ndarray, first: int, stop: int) -> np.ndarray:
-        """Window sums of columns [first, stop) of the zero-padded y, built
-        from only the slice z[first : stop+mu] those windows cover."""
+        """Window sums of columns [first, stop) of the zero-padded 2-D y,
+        built from only the slice z[first : stop+mu] those windows cover."""
         mu = self.mu
-        z = np.zeros(y.shape[:-1] + (stop - first + mu,))
+        z = np.zeros((y.shape[0], stop - first + mu))
         a, b = max(first, mu), min(stop + mu, mu + self.out_dim)
         if a < b:
-            z[..., a - first : b - first] = y[..., a - mu : b - mu]
-        return sliding_window_view(z, mu + 1, axis=-1).sum(axis=-1)
+            z[:, a - first : b - first] = y[:, a - mu : b - mu]
+        return _pairwise_window_sums(z, mu + 1)
 
     def matrix(self) -> np.ndarray:
         p = np.zeros((self.out_dim, self.in_dim))

@@ -28,6 +28,8 @@ class Problem:
     targets: np.ndarray  # (m, t): rows are the current residual
     pooling: Pooling
     ridge: float = 0.0
+    # (m, in_dim) work array for residual's pre-pooling image; never returned
+    _work: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_samples(self) -> int:
@@ -75,8 +77,11 @@ def _params(problem: Problem, weight: np.ndarray, bias: np.ndarray):
 
 def residual(problem: Problem, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
     weight, bias = _params(problem, weight, bias)
-    pred = problem.pooling.apply(problem.features @ weight.T + bias)
-    return problem.targets - pred
+    if problem._work is None:
+        problem._work = np.empty((problem.n_samples, problem.pooling.in_dim))
+    pre = np.matmul(problem.features, weight.T, out=problem._work)
+    pre += bias
+    return problem.targets - problem.pooling.apply(pre)
 
 
 def objective(problem: Problem, weight: np.ndarray, bias: np.ndarray) -> float:
@@ -196,6 +201,7 @@ class SolveStats:
     wall_time_s: float = 0.0
     objective_trace: list[float] | None = None
     note: str = ""
+    lipschitz: float | None = None  # the bound L behind the 1/L step (Nesterov only)
 
 
 def nesterov_solve(
@@ -260,6 +266,7 @@ def nesterov_solve(
         stop_reason=stop_reason,
         wall_time_s=time.perf_counter() - t0,
         objective_trace=trace,
+        lipschitz=lip,
     )
     return w_prev, b_prev, stats
 

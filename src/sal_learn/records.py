@@ -20,6 +20,8 @@ class GradeRecord:
     # hybrid head, the Adam run's ("epsilon" | "epochs")
     stop_reason: str = ""
     note: str = ""  # fallbacks taken: a stagnated CG, a singular activation gram
+    objective: float | None = None  # SolveStats.final_objective
+    lipschitz: float | None = None  # SolveStats.lipschitz (Nesterov grades only)
 
 
 @dataclass

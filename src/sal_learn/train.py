@@ -234,6 +234,8 @@ def train_grade(
         rse_test=None,
         stop_reason=stats.stop_reason,
         note=stats.note,
+        objective=stats.final_objective,
+        lipschitz=stats.lipschitz,
     )
     return grade, new_residual, record
 

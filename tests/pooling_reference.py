@@ -1,8 +1,10 @@
 """Reference pooling: every sliding window of the (zero-padded) input summed
 in full.
 
-The model's adjoint reduces only the window columns whose bits can differ and
-copies the rest; tests require it to match this reference bit for bit.
+The model's apply and adjoint replay this reduction's summation order with
+whole-slice adds, and the adjoint sums only the window columns whose bits can
+differ and copies the rest; tests require both to match this reference bit
+for bit.
 """
 
 import numpy as np

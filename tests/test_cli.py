@@ -5,6 +5,7 @@ subprocesses, so failures show up as ordinary assertion errors.
 """
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -81,6 +82,8 @@ def test_target_name_checked(tmp_path):
     doc = {"data": {"target": "cubic", "m": 5}}
     with pytest.raises(ConfigError, match="data.target must be 'nondiff', 'oscillatory', or 'custom'"):
         parse_config(write_config(tmp_path, doc))
+    with pytest.raises(ConfigError, match="data.m must be >= 2"):
+        parse_config(write_config(tmp_path, {"data": {"target": "nondiff", "m": 1}}))
 
 
 def test_window_validation(tmp_path):
@@ -220,10 +223,13 @@ def test_run_log_names_each_grade_solver_outcome(tmp_path):
     lines = (out / "run.log").read_text().splitlines()
     grade_lines = [line for line in lines if line.startswith("grade ")]
     assert grade_lines[0].startswith("grade 1: iterations=5 ")
-    assert grade_lines[0].endswith(" stop=max_iters")
+    number = r"\d\.\d{6}e[+-]\d\d"
+    assert re.search(f" stop=max_iters objective={number} lipschitz={number}$", grade_lines[0])
     assert " stop=direct" in grade_lines[1]
+    assert "objective=" not in grade_lines[1] and "lipschitz=" not in grade_lines[1]
     header = read_csv_rows(out / "sal_report.csv")[0]
     assert "stop_reason" not in header and "note" not in header
+    assert "objective" not in header and "lipschitz" not in header
 
 
 def masked_report(path):
@@ -422,6 +428,41 @@ def test_uncreatable_output_dir_exits_with_2(tmp_path, capsys, command):
     assert err.startswith("output error: ") and err.count("\n") == 1
     assert str(blocker) in err
 
+
+
+@pytest.mark.parametrize("command", ["train-sal", "train-ssg", "compare", "eval"])
+@pytest.mark.parametrize(
+    "target, key, text",
+    [
+        ("oscillatory", "coeff_file", None),
+        ("custom", "custom_file", None),
+        ("oscillatory", "coeff_file", "1 2.0 3.0\n"),
+        ("custom", "custom_file", "0.0,x\n1.0,2.0\n"),
+    ],
+)
+def test_bad_data_file_exits_with_2_before_writing(tmp_path, capsys, command, target, key, text):
+    path = tmp_path / "absent" / "table.txt"
+    if text is not None:
+        path = tmp_path / "table.txt"
+        path.write_text(text)
+    doc = sal_doc(ssg={"widths": [4], "epochs": 5})
+    doc["data"].update({"target": target, key: str(path)})
+    cfg_path = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    if command == "eval":
+        trained = tmp_path / "trained"
+        assert main(["train-sal", "--config", write_config(tmp_path, sal_doc(), "ok.json"),
+                     "--out", str(trained)]) == 0
+        capsys.readouterr()
+        args = ["eval", "--model", str(trained / "sal_model.json"), "--config", cfg_path]
+    else:
+        args = [command, "--config", cfg_path, "--out", str(out)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("data error: ") and captured.err.count("\n") == 1
+    assert str(path) in captured.err
+    assert not out.exists()
 
 def test_command_is_required():
     with pytest.raises(SystemExit):

@@ -12,6 +12,7 @@ from sal_learn.model import (
     RELU,
     SINCOS_HALF,
     TANH,
+    WINDOW_ROWS,
     Activation,
     Grade,
     Model,
@@ -157,6 +158,75 @@ def test_pool_adjoint_random_shapes_match_reference_bits():
         y[rng.random((m, t)) < 0.1] = -0.0
         _assert_bits(pool.adjoint(y), pool_ref.adjoint(pool, y))
 
+
+
+_REPLAY_SHAPES = [
+    (20, 108),  # the oscillatory desk grade
+    (4, 5),  # n < 8
+    (2, 7),  # n = 8
+    (30, 127),  # n = 128, one pairwise block
+    (30, 128),  # n = 129, halved once
+    (50, 299),  # n = 300, halved twice
+]
+
+
+@pytest.mark.parametrize("m", [WINDOW_ROWS - 1, WINDOW_ROWS, WINDOW_ROWS + 1, 2001])
+@pytest.mark.parametrize("t, mu", _REPLAY_SHAPES)
+def test_pool_replay_across_row_blocks_matches_reference_bits(m, t, mu):
+    rng = np.random.default_rng(m * 1000 + t * 10 + mu)
+    pool = Pooling(t, mu)
+    x = _spread(rng, (m, pool.in_dim))
+    x[m // 2] = -0.0
+    _assert_bits(pool.apply(x), pool_ref.apply(pool, x))
+    y = _spread(rng, (m, t))
+    y[m - 1] = -0.0
+    _assert_bits(pool.adjoint(y), pool_ref.adjoint(pool, y))
+
+
+def test_pool_replay_on_a_feature_block_matches_reference_bits():
+    # a full BLOCK_ROWS block of the feature recursion at the oscillatory desk shape
+    rng = np.random.default_rng(16384)
+    pool = Pooling(20, 108)
+    x = _spread(rng, (BLOCK_ROWS, pool.in_dim))
+    _assert_bits(pool.apply(x), pool_ref.apply(pool, x))
+    y = _spread(rng, (BLOCK_ROWS, 20))
+    _assert_bits(pool.adjoint(y), pool_ref.adjoint(pool, y))
+
+
+@pytest.mark.parametrize("t, mu", _REPLAY_SHAPES + [(1, 99)])
+def test_pool_apply_one_and_three_dim_inputs(t, mu):
+    rng = np.random.default_rng(t + mu)
+    pool = Pooling(t, mu)
+    for shape in [(pool.in_dim,), (3, 4, pool.in_dim), (2, WINDOW_ROWS + 3, pool.in_dim)]:
+        x = _spread(rng, shape)
+        _assert_bits(pool.apply(x), pool_ref.apply(pool, x))
+
+
+def test_pool_apply_keeps_signed_zeros():
+    rng = np.random.default_rng(6)
+    for t, mu in _REPLAY_SHAPES + [(1, 99)]:
+        pool = Pooling(t, mu)
+        x = _spread(rng, (8, pool.in_dim))
+        x[0] = 0.0
+        x[1] = -0.0
+        x[2, ::2] = -0.0
+        x[3, 1::2] = 0.0
+        x[4] = np.where(rng.random(pool.in_dim) < 0.5, -0.0, 0.0)
+        got = pool.apply(x)
+        _assert_bits(got, pool_ref.apply(pool, x))
+        assert not np.any(got[:2]) and not np.any(np.signbit(got[:2]))
+
+
+def test_pool_apply_random_shapes_match_reference_bits():
+    rng = np.random.default_rng(2025)
+    for _ in range(240):
+        m = int(rng.integers(1, 12))
+        t = int(rng.integers(1, 48))
+        mu = int(rng.integers(0, 320))
+        pool = Pooling(t, mu)
+        x = _spread(rng, (m, t + mu))
+        x[rng.random((m, t + mu)) < 0.1] = -0.0
+        _assert_bits(pool.apply(x), pool_ref.apply(pool, x))
 
 def test_activation_values():
     x = np.array([-2.0, 0.0, 3.0])

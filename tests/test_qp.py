@@ -129,6 +129,58 @@ def test_gradient_bits_match_reference_adjoint(ridge):
     assert np.array_equal(gb, want_b)
 
 
+
+def test_objective_and_gradient_bits_at_the_oscillatory_first_grade():
+    # grade 1 of the oscillatory desk run: p = 1 input feature, t = 20, mu = 108
+    rng = SplitMix64(13)
+    m, t, mu = 2001, 20, 108
+    feats = np.linspace(-1.0, 1.0, m)[:, None]
+    targets = rng.standard_normals(m * t).reshape(m, t)
+    pool = Pooling(t, mu)
+    prob = qp.assemble(feats, targets, pool)
+    w = rng.standard_normals(t + mu).reshape(t + mu, 1)
+    b = rng.standard_normals(t + mu)
+    r = targets - pool_ref.apply(pool, feats @ w.T + b)
+    assert qp.objective(prob, w, b) == float(np.sum(r * r))
+    adj = pool_ref.adjoint(pool, r)
+    gw, gb = qp.gradient(prob, w, b)
+    assert np.array_equal(gw, -2.0 * (adj.T @ feats))
+    assert np.array_equal(gb, -2.0 * adj.sum(axis=0))
+
+
+def test_residual_work_array_stays_private():
+    rng = SplitMix64(14)
+    m, p, t, mu = 301, 6, 20, 108
+    feats = rng.standard_normals(m * p).reshape(m, p)
+    targets = rng.standard_normals(m * t).reshape(m, t)
+    prob = qp.assemble(feats, targets, Pooling(t, mu))
+    other = qp.assemble(feats, targets, Pooling(t, mu))
+    params = [
+        (rng.standard_normals((t + mu) * p).reshape(t + mu, p), rng.standard_normals(t + mu))
+        for _ in range(3)
+    ]
+    first = qp.residual(prob, *params[0])
+    kept = first.copy()
+    qp.residual(prob, *params[1])
+    qp.gradient(prob, *params[2])
+    qp.objective(prob, *params[1])
+    qp.residual(other, *params[2])
+    assert np.array_equal(first, kept)
+    assert not np.shares_memory(first, prob._work)
+    assert not np.shares_memory(prob._work, other._work)
+    assert np.array_equal(qp.residual(prob, *params[0]), kept)
+
+
+def test_nesterov_on_a_reused_problem_matches_a_fresh_one():
+    prob = small_problem(m=40, p=3, in_dim=12, t=4, seed=15)
+    cfg = qp.SolverConfig(epsilon=1e-12, max_iters=60, init="randn")
+    qp.nesterov_solve(prob, cfg)
+    w, b, stats = qp.nesterov_solve(prob, cfg)
+    fresh = qp.assemble(prob.features, prob.targets, prob.pooling)
+    w0, b0, stats0 = qp.nesterov_solve(fresh, cfg)
+    assert np.array_equal(w, w0) and np.array_equal(b, b0)
+    assert stats.final_objective == stats0.final_objective
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         qp.SolverConfig(method="sgd")
@@ -152,6 +204,7 @@ def test_nesterov_decreases_objective_and_stops():
     assert trace[0] == pytest.approx(qp.objective(prob, np.zeros_like(w), np.zeros_like(b)))
     assert stats.final_objective <= trace[0]
     assert stats.stop_reason in ("epsilon", "max_iters")
+    assert stats.lipschitz == qp.lipschitz_bound(prob)
     # final iterate is near-stationary
     assert qp.orthogonality_defect(prob, w, b) < 1e-5
 

@@ -128,8 +128,10 @@ def test_grade_records_carry_solver_outcome():
     _, report = train_sal(ds, cfg)
     first, second = report.records
     assert (first.stop_reason, first.iterations, first.note) == ("max_iters", 3, "")
+    assert first.lipschitz > 0.0 and first.objective > 0.0
     assert second.stop_reason == "direct"
     assert "singular activation gram" in second.note
+    assert second.lipschitz is None and second.objective >= 0.0
 
 
 def test_activation_selection_inside_training():
