@@ -31,7 +31,7 @@ from .reporting import (
     save_model,
     write_csv,
 )
-from .smoothing import GridSteps, TauMultiples
+from .smoothing import WINDOW_FIELDS, window_from_dict, window_to_dict
 
 
 class ConfigError(ValueError):
@@ -54,7 +54,6 @@ _SOLVER_KEYS = {
     "init_scale",
 }
 _GRADE_KEYS = {"width", "activation", "tau", "window", "quad_points", "smoothing_target"} | _SOLVER_KEYS
-_WINDOW_KEYS = {"grid_steps": {"mode", "count", "step"}, "tau_multiples": {"mode", "factor"}}
 _SSG_KEYS = {"widths", "activations", "alpha", "epochs", "epsilon", "seed", "checkpoints"}
 _HYBRID_KEYS = _SSG_KEYS
 _COMPARE_KEYS = {"thresholds"}
@@ -85,21 +84,40 @@ def _require(obj: dict, key: str, path: str):
     return obj[key]
 
 
-def _activation_one(spec, path: str) -> Activation:
+def _number(kind, value, path: str):
+    """kind(value) for kind int or float, as the config reads every number
+    (so 2001.0 and true are accepted); a value it cannot convert is a
+    ConfigError naming its path."""
     try:
-        if isinstance(spec, str):
-            return Activation(spec)
-        if isinstance(spec, dict):
-            kind = _require(spec, "kind", path)
-            extra = set(spec) - {"kind", "slope"}
-            if extra:
-                raise ConfigError(f"unknown key: {path}.{sorted(extra)[0]}")
-            if "slope" in spec:
-                return Activation(kind, slope=float(spec["slope"]))
-            return Activation(kind)
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _numbers(value, kind, path: str) -> list:
+    """Every item of a list of numbers, each converted by _number."""
+    try:
+        items = list(value)
+    except TypeError:
+        raise ConfigError(f"{path} must be a list") from None
+    return [_number(kind, v, f"{path}[{i}]") for i, v in enumerate(items)]
+
+
+def _activation_one(spec, path: str) -> Activation:
+    if isinstance(spec, str):
+        kind, extra = spec, {}
+    elif isinstance(spec, dict):
+        kind = _require(spec, "kind", path)
+        unknown = set(spec) - {"kind", "slope"}
+        if unknown:
+            raise ConfigError(f"unknown key: {path}.{sorted(unknown)[0]}")
+        extra = {"slope": _number(float, spec["slope"], f"{path}.slope")} if "slope" in spec else {}
+    else:
+        raise ConfigError(f"{path} must be an activation name, object, or list")
+    try:
+        return Activation(kind, **extra)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    raise ConfigError(f"{path} must be an activation name, object, or list")
 
 
 def _activation_field(spec, path: str):
@@ -111,30 +129,34 @@ def _activation_field(spec, path: str):
 
 
 def _window(spec, path: str):
-    _check_keys(spec, {"mode", "count", "step", "factor"}, path)
+    _check_keys(spec, {"mode"}.union(*WINDOW_FIELDS.values()), path)
     mode = _require(spec, "mode", path)
-    if mode not in _WINDOW_KEYS:
+    if not isinstance(mode, str) or mode not in WINDOW_FIELDS:
         raise ConfigError(f"{path}.mode must be 'grid_steps' or 'tau_multiples'")
-    _check_keys(spec, _WINDOW_KEYS[mode], path)
+    _check_keys(spec, {"mode", *WINDOW_FIELDS[mode]}, path)
+    for key in WINDOW_FIELDS[mode]:
+        _require(spec, key, path)
     try:
-        if mode == "grid_steps":
-            return GridSteps(int(_require(spec, "count", path)), float(_require(spec, "step", path)))
-        return TauMultiples(float(_require(spec, "factor", path)))
-    except ValueError as exc:
+        return window_from_dict(spec)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
 def _solver(doc: dict, defaults: qp.SolverConfig, path: str) -> qp.SolverConfig:
+    numbers = {
+        key: _number(kind, doc.get(key, getattr(defaults, key)), f"{path}.{key}")
+        for key, kind in [
+            ("epsilon", float),
+            ("max_iters", int),
+            ("ridge", float),
+            ("lipschitz_safety", float),
+            ("init_seed", int),
+            ("init_scale", float),
+        ]
+    }
     try:
         return qp.SolverConfig(
-            method=doc.get("method", defaults.method),
-            epsilon=float(doc.get("epsilon", defaults.epsilon)),
-            max_iters=int(doc.get("max_iters", defaults.max_iters)),
-            ridge=float(doc.get("ridge", defaults.ridge)),
-            lipschitz_safety=float(doc.get("lipschitz_safety", defaults.lipschitz_safety)),
-            init=doc.get("init", defaults.init),
-            init_seed=int(doc.get("init_seed", defaults.init_seed)),
-            init_scale=float(doc.get("init_scale", defaults.init_scale)),
+            method=doc.get("method", defaults.method), init=doc.get("init", defaults.init), **numbers
         )
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
@@ -142,19 +164,21 @@ def _solver(doc: dict, defaults: qp.SolverConfig, path: str) -> qp.SolverConfig:
 
 def _grade(doc: dict, defaults: qp.SolverConfig, path: str) -> train.GradeConfig:
     _check_keys(doc, _GRADE_KEYS, path)
-    width = int(_require(doc, "width", path))
+    width = _number(int, _require(doc, "width", path), f"{path}.width")
     activation = _activation_field(doc.get("activation", "relu"), f"{path}.activation")
-    tau = float(doc.get("tau", 0.0))
+    tau = _number(float, doc.get("tau", 0.0), f"{path}.tau")
     window = _window(doc["window"], f"{path}.window") if "window" in doc else None
+    quad_points = _number(int, doc.get("quad_points", 200), f"{path}.quad_points")
+    solver = _solver(doc, defaults, path)
     try:
         return train.GradeConfig(
             width=width,
             activation=activation,
             tau=tau,
             window=window,
-            quad_points=int(doc.get("quad_points", 200)),
+            quad_points=quad_points,
             smoothing_target=doc.get("smoothing_target", "component"),
-            solver=_solver(doc, defaults, path),
+            solver=solver,
         )
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
@@ -162,7 +186,7 @@ def _grade(doc: dict, defaults: qp.SolverConfig, path: str) -> train.GradeConfig
 
 def _mlp_config(doc: dict, path: str, allowed: set) -> mlp.MlpTrainConfig:
     _check_keys(doc, allowed, path)
-    widths = [int(w) for w in _require(doc, "widths", path)]
+    widths = _numbers(_require(doc, "widths", path), int, f"{path}.widths")
     activations = None
     if "activations" in doc:
         acts = doc["activations"]
@@ -171,14 +195,14 @@ def _mlp_config(doc: dict, path: str, allowed: set) -> mlp.MlpTrainConfig:
         activations = [_activation_one(a, f"{path}.activations[{i}]") for i, a in enumerate(acts)]
     checkpoints = None
     if "checkpoints" in doc:
-        checkpoints = [int(e) for e in doc["checkpoints"]]
+        checkpoints = _numbers(doc["checkpoints"], int, f"{path}.checkpoints")
     return mlp.MlpTrainConfig(
         widths=widths,
         activations=activations,
-        alpha=float(doc.get("alpha", 1e-3)),
-        epochs=int(doc.get("epochs", 5000)),
-        epsilon=float(doc.get("epsilon", 1e-7)),
-        seed=int(doc.get("seed", 1)),
+        alpha=_number(float, doc.get("alpha", 1e-3), f"{path}.alpha"),
+        epochs=_number(int, doc.get("epochs", 5000), f"{path}.epochs"),
+        epsilon=_number(float, doc.get("epsilon", 1e-7), f"{path}.epsilon"),
+        seed=_number(int, doc.get("seed", 1), f"{path}.seed"),
         checkpoints=checkpoints,
     )
 
@@ -219,12 +243,14 @@ def parse_config(
     _require(data_doc, "m", "data")
     resolved_data = {
         "target": data_doc["target"],
-        "a": float(data_doc.get("a", -1.0)),
-        "b": float(data_doc.get("b", 1.0)),
-        "delta": float(data_doc.get("delta", 0.0)),
-        "m": int(data_doc["m"]),
-        "m_test": int(data_doc.get("m_test", 0)),
-        "seed": int(seed_override if seed_override is not None else data_doc.get("seed", 1)),
+        "a": _number(float, data_doc.get("a", -1.0), "data.a"),
+        "b": _number(float, data_doc.get("b", 1.0), "data.b"),
+        "delta": _number(float, data_doc.get("delta", 0.0), "data.delta"),
+        "m": _number(int, data_doc["m"], "data.m"),
+        "m_test": _number(int, data_doc.get("m_test", 0), "data.m_test"),
+        "seed": _number(
+            int, seed_override if seed_override is not None else data_doc.get("seed", 1), "data.seed"
+        ),
     }
     for key in ("coeff_file", "custom_file"):
         if key in data_doc:
@@ -238,13 +264,14 @@ def parse_config(
     if "sal" in doc:
         sal_doc = doc["sal"]
         _check_keys(sal_doc, _SAL_KEYS, "sal")
-        defaults = _solver(sal_doc.get("solver", {}), qp.SolverConfig(), "sal.solver")
         if "solver" in sal_doc:
             _check_keys(sal_doc["solver"], _SOLVER_KEYS, "sal.solver")
-        grades = [
-            _grade(g, defaults, f"sal.grades[{i}]")
-            for i, g in enumerate(sal_doc.get("grades", []))
-        ]
+        defaults = _solver(sal_doc.get("solver", {}), qp.SolverConfig(), "sal.solver")
+        try:
+            grade_docs = list(sal_doc.get("grades", []))
+        except TypeError:
+            raise ConfigError("sal.grades must be a list") from None
+        grades = [_grade(g, defaults, f"sal.grades[{i}]") for i, g in enumerate(grade_docs)]
         if seed_override is not None:
             for g in grades:
                 g.solver.init_seed = seed_override
@@ -272,10 +299,12 @@ def parse_config(
     if "compare" in doc:
         _check_keys(doc["compare"], _COMPARE_KEYS, "compare")
         if "thresholds" in doc["compare"]:
-            thresholds = [float(t) for t in doc["compare"]["thresholds"]]
+            thresholds = _numbers(doc["compare"]["thresholds"], float, "compare.thresholds")
 
     out_doc = doc.get("output", {})
     _check_keys(out_doc, _OUTPUT_KEYS, "output")
+    if out_override is None and not isinstance(out_doc.get("dir", "."), str):
+        raise ConfigError("output.dir must be a string")
     out_dir = Path(out_override) if out_override is not None else Path(out_doc.get("dir", "."))
 
     echo = {
@@ -327,10 +356,7 @@ def _echo_sal(cfg: train.TrainConfig) -> dict:
             "init_scale": g.solver.init_scale,
         }
         if g.window is not None:
-            if isinstance(g.window, GridSteps):
-                entry["window"] = {"mode": "grid_steps", "count": g.window.count, "step": g.window.step}
-            else:
-                entry["window"] = {"mode": "tau_multiples", "factor": g.window.factor}
+            entry["window"] = window_to_dict(g.window)
         grades.append(entry)
     out = {"grades": grades, "record_test_metrics": cfg.record_test_metrics}
     if cfg.head is not None:
@@ -355,7 +381,8 @@ def _echo_mlp(cfg: mlp.MlpTrainConfig) -> dict:
 
 def _build_datasets(cfg: RunConfig):
     """The train and test sets; None (after one `data error` line) when the
-    target's file cannot be read or holds no valid target."""
+    target's file cannot be read or holds no valid target, or the sets do
+    not fit in memory."""
     d = cfg.data
     path = d.get("custom_file" if d["target"] == "custom" else "coeff_file")
     try:
@@ -368,10 +395,14 @@ def _build_datasets(cfg: RunConfig):
     except ValueError as exc:
         print(f"data error: {path + ': ' if path else ''}{exc}", file=sys.stderr)
         return None
-    train_set = bench.make_train(target, d["a"], d["b"], d["delta"], d["m"])
-    test_set = None
-    if d["m_test"] > 0:
-        test_set = bench.make_test(target, d["a"], d["b"], d["m_test"], d["seed"])
+    try:
+        train_set = bench.make_train(target, d["a"], d["b"], d["delta"], d["m"])
+        test_set = None
+        if d["m_test"] > 0:
+            test_set = bench.make_test(target, d["a"], d["b"], d["m_test"], d["seed"])
+    except MemoryError as exc:
+        print(f"data error: cannot build the data sets: {exc or 'out of memory'}", file=sys.stderr)
+        return None
     return train_set, test_set
 
 

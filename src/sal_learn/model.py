@@ -22,8 +22,8 @@ FORMAT_VERSION = 1
 # Rows per block of the feature recursion: 16384 rows of width 128 are 16 MB.
 BLOCK_ROWS = 16384
 
-# Rows per block of pooling with more than one output: a block's work arrays
-# (slices of 512 rows by the window columns) stay in cache, and no array of
+# Rows per block of pooling with more than one output: a block's window-major
+# work arrays (the window columns by 512 rows) stay in cache, and no array of
 # the full row count is allocated besides the result.
 WINDOW_ROWS = 512
 
@@ -108,60 +108,118 @@ def _pairwise_lead(n: int) -> int:
     return n - n % 8
 
 
-def _pairwise_slices(x: np.ndarray, first: int, n: int, count: int) -> np.ndarray:
-    """NumPy's float64 pairwise sum of x[:, c+first : c+first+n] for every
-    c < count, each step done for all c at once as one whole-slice add.
+class _Work:
+    """Work arrays of one pooling call, each made once and reused by every
+    row block: get(key, height) is a C-contiguous (height, rows) view sized
+    for the current block's row count."""
+
+    def __init__(self, rows: int):
+        self.cap = self.rows = rows
+        self._flat: dict[Any, np.ndarray] = {}
+
+    def get(self, key: Any, height: int) -> np.ndarray:
+        flat = self._flat.get((key, height))
+        if flat is None:
+            flat = self._flat[key, height] = np.empty(height * self.cap)
+        return flat[: height * self.rows].reshape(height, self.rows)
+
+
+class _Rows:
+    """Window-major operand z of one row block: row i of z holds entry i of
+    every block row.  Only z[lo : lo + len(data)] is stored, as data; every
+    other row of z is zero (the adjoint's zero padding) and is never added
+    (see Pooling.adjoint for why that keeps every bit)."""
+
+    def __init__(self, data: np.ndarray, lo: int = 0):
+        self.data, self.lo = data, lo
+
+    def _span(self, i: int, size: int) -> tuple[int, int]:
+        """The stored rows of z[i : i+size], as a range within that slice."""
+        a = min(max(self.lo - i, 0), size)
+        return a, max(a, min(self.lo + len(self.data) - i, size))
+
+    def copy_to(self, dst: np.ndarray, i: int) -> None:
+        """dst[:] = z[i : i+len(dst)]."""
+        a, b = self._span(i, len(dst))
+        dst[:a] = 0.0
+        dst[a:b] = self.data[i + a - self.lo : i + b - self.lo]
+        dst[b:] = 0.0
+
+    def add_to(self, dst: np.ndarray, i: int) -> None:
+        """dst += z[i : i+len(dst)], with the zero rows left out."""
+        a, b = self._span(i, len(dst))
+        if a < b:
+            dst[a:b] += self.data[i + a - self.lo : i + b - self.lo]
+
+
+def _replay(z: _Rows, first: int, n: int, out: np.ndarray, work: _Work, depth: int = 0) -> None:
+    """out[c] = NumPy's float64 pairwise sum of z[first+c : first+c+n] for
+    every window c < len(out), each step one contiguous add over every
+    window and every block row.
 
     The order is that of NumPy's reduction loop: below 8 values it adds them
     one by one to 0.0; up to 128 it runs 8 interleaved partial sums over the
     leading multiple of 8, combines them as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
     and adds the tail one by one; above 128 it sums the two halves split at
     n//2 rounded down to a multiple of 8 and adds them.  Lane j of window c
-    is lane c+j of the accumulator acc, so one acc serves every window.
+    is row c+j of the accumulator acc, so one acc serves every window.
     """
+    count = len(out)
     if n < 8:
-        out = np.zeros((x.shape[0], count))
+        out.fill(0.0)
         for i in range(first, first + n):
-            out += x[:, i : i + count]
-        return out
+            z.add_to(out, i)
+        return
     if n > 128:
         half = n // 2 - (n // 2) % 8
-        out = _pairwise_slices(x, first, half, count)
-        out += _pairwise_slices(x, first + half, n - half, count)
-        return out
+        _replay(z, first, half, out, work, depth + 1)
+        right = work.get(("half", depth), count)
+        _replay(z, first + half, n - half, right, work, depth + 1)
+        out += right
+        return
     lead = n - n % 8
-    acc = x[:, first : first + count + 7].copy()
+    acc = work.get("acc", count + 7)
+    z.copy_to(acc, first)
     for i in range(first + 8, first + lead, 8):
-        acc += x[:, i : i + count + 7]
-    lane = [acc[:, j : j + count] for j in range(8)]
-    out = lane[0] + lane[1]
-    out += lane[2] + lane[3]
-    right = lane[4] + lane[5]
-    right += lane[6] + lane[7]
+        z.add_to(acc, i)
+    lane = [acc[j : j + count] for j in range(8)]
+    pair, right = work.get("pair", count), work.get("right", count)
+    np.add(lane[0], lane[1], out=out)
+    out += np.add(lane[2], lane[3], out=pair)
+    np.add(lane[4], lane[5], out=right)
+    right += np.add(lane[6], lane[7], out=pair)
     out += right
     for i in range(first + lead, first + n):
-        out += x[:, i : i + count]
-    return out
+        z.add_to(out, i)
 
 
-def _pairwise_window_sums(x: np.ndarray, n: int) -> np.ndarray:
-    """The sum of every window of n consecutive columns of the 2-D x, bit
-    for bit that of sliding_window_view(x, n, axis=-1).sum(axis=-1): the
-    pairwise total, then added to the reduction's identity 0.0 (which turns
-    a -0.0 total into +0.0, as the reduction does)."""
-    out = _pairwise_slices(x, 0, n, x.shape[1] - n + 1)
-    out += 0.0
-    return out
-
-
-def _by_row_blocks(fill, x: np.ndarray, width: int) -> np.ndarray:
-    """Rows of width `width`, one per row of x (every leading index), made by
-    fill(x_block, out_block) over blocks of WINDOW_ROWS rows, so that each
-    block's work arrays stay in cache and no full-size temporary is built."""
+def _window_major(
+    x: np.ndarray, width: int, n: int, pad: int, spans: Sequence[tuple[int, int]], finish=None
+) -> np.ndarray:
+    """Rows of width `width`, one per row of x (every leading index), made
+    one block of WINDOW_ROWS rows at a time.  The block is transposed into a
+    (dim, rows) work array, which stands at z[pad : pad+dim] of an operand z
+    that is +0.0 elsewhere.  For each column span [first, stop) the window
+    sums of z[c : c+n] are replayed window-major, and their quotients by n
+    are transposed back into those columns of the block's result, which
+    finish(out_block), if given, then completes."""
     rows = x.reshape(-1, x.shape[-1])
     out = np.empty((rows.shape[0], width))
+    work = _Work(min(rows.shape[0], WINDOW_ROWS))
     for r in range(0, rows.shape[0], WINDOW_ROWS):
-        fill(rows[r : r + WINDOW_ROWS], out[r : r + WINDOW_ROWS])
+        block, out_block = rows[r : r + WINDOW_ROWS], out[r : r + WINDOW_ROWS]
+        work.rows = len(block)
+        src = work.get("src", block.shape[1])
+        for c in range(0, len(block), 64):  # 64-row tiles transpose about 1.6x faster
+            np.copyto(src[:, c : c + 64], block[c : c + 64].T)
+        z = _Rows(src, pad)
+        for first, stop in spans:
+            res = work.get(("res", first), stop - first)
+            _replay(z, first, n, res, work)
+            res += 0.0  # the reduction's identity, which turns a -0.0 total into +0.0
+            np.divide(res.T, n, out=out_block[:, first:stop])
+        if finish is not None:
+            finish(out_block)
     return out.reshape(x.shape[:-1] + (width,))
 
 
@@ -174,12 +232,20 @@ class Pooling:
 
     Both directions give the bits of NumPy's float64 pairwise reduction of
     every window (tests/pooling_reference.py).  For out_dim > 1 they replay
-    that reduction's order with whole-slice adds (_pairwise_window_sums):
-    a few dozen adds over all windows at once instead of one reduction per
-    window, one block of WINDOW_ROWS rows at a time.  The replay adds the
-    same operands in the same order, so every rounding, and the sign of
-    every zero, is the same.  For out_dim == 1 each row has a single
-    window, and one reduction is about twice as fast as the replay there.
+    that reduction's order window-major, one block of WINDOW_ROWS rows at a
+    time: the block is transposed into a (dim, rows) work array, in which
+    entry i of every row is one contiguous row, so each replay step is one
+    contiguous add over every window and every block row, a few dozen adds
+    in all; the sums are then transposed back.  The replay adds the same
+    operands in the same order (the adjoint leaves out its zero padding,
+    see there), so every rounding, and the sign of every zero, is the same.
+    The work arrays (a few hundred KB) are made once per call, reused by
+    its blocks, and dropped with it; 512-row blocks keep them in cache.
+    Pooling runs only elementwise NumPy operations, never BLAS, so its bits
+    are the same on every BLAS build and CPU, and the BLAS products around
+    it in qp keep their operands and layout.  For out_dim == 1 each row has
+    a single window, and one reduction is about twice as fast as a replay
+    there.
     """
 
     out_dim: int
@@ -204,11 +270,7 @@ class Pooling:
         n = self.mu + 1
         if self.out_dim == 1:
             return sliding_window_view(x, n, axis=-1).mean(axis=-1)
-
-        def fill(block: np.ndarray, out: np.ndarray) -> None:
-            np.divide(_pairwise_window_sums(block, n), n, out=out)
-
-        return _by_row_blocks(fill, x, self.out_dim)
+        return _window_major(x, self.out_dim, n, 0, [(0, self.out_dim)])
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """Apply the transpose of the induced matrix.
@@ -216,9 +278,19 @@ class Pooling:
         Column j of the result is the window sum of z[j : j+n] / n, where
         n = mu+1 and z is y zero-padded by mu on each side, reduced by
         NumPy's float64 pairwise sum.  Only the columns whose bits can
-        differ are summed (by the replay, _pairwise_window_sums); the others
-        are copies, so the result is bit for bit that of reducing every
-        window.
+        differ are summed (by the window-major replay); the others are
+        copies, so the result is bit for bit that of reducing every window.
+
+        The zero padding is never stored or added: each replay step adds
+        only the y rows its slice of z holds, and a step whose slice lies
+        wholly in the padding does nothing.  This is exact.  Adding a zero
+        to a nonzero value returns that value, and adding a zero to a zero
+        gives a zero, so leaving a zero term out can change only the sign of
+        a partial sum that is zero.  The sign of a zero never changes what
+        it adds up to with a nonzero value, so every nonzero partial sum,
+        and a nonzero total, keeps its bits.  A zero total is then added to
+        the reduction's identity +0.0, which makes it +0.0 whatever its
+        sign, as the full reduction does.
 
         Why the copies are exact: over a contiguous axis NumPy adds the first
         L positions in 8 interleaved partial sums, combines those as a fixed
@@ -245,32 +317,18 @@ class Pooling:
             # (y / n + 0.0 would differ where y / n underflows to -0.0)
             return np.repeat((y + 0.0) / n, n, axis=-1)
         lo, hi = max(0, mu + t - _pairwise_lead(n)), n
+        if hi - lo <= 8:
+            return _window_major(y, t + mu, n, mu, [(0, t + mu)])
         q, rem = divmod(hi - lo - 8, 8)
 
-        def fill(block: np.ndarray, out: np.ndarray) -> None:
-            if hi - lo <= 8:
-                out[:] = self._window_sums(block, 0, t + mu)
-            else:
-                out[:, : lo + 8] = self._window_sums(block, 0, lo + 8)
-                if hi < t + mu:
-                    out[:, hi:] = self._window_sums(block, hi, t + mu)
-                reps = out[:, lo : lo + 8]
-                body = out[:, lo + 8 : lo + 8 + 8 * q].reshape(len(out), q, 8)
-                body[...] = reps[:, None, :]
-                out[:, hi - rem : hi] = reps[:, :rem]
-            out /= n
+        def copy_interior(out: np.ndarray) -> None:
+            reps = out[:, lo : lo + 8]
+            body = out[:, lo + 8 : lo + 8 + 8 * q].reshape(len(out), q, 8)
+            body[...] = reps[:, None, :]
+            out[:, hi - rem : hi] = reps[:, :rem]
 
-        return _by_row_blocks(fill, y, t + mu)
-
-    def _window_sums(self, y: np.ndarray, first: int, stop: int) -> np.ndarray:
-        """Window sums of columns [first, stop) of the zero-padded 2-D y,
-        built from only the slice z[first : stop+mu] those windows cover."""
-        mu = self.mu
-        z = np.zeros((y.shape[0], stop - first + mu))
-        a, b = max(first, mu), min(stop + mu, mu + self.out_dim)
-        if a < b:
-            z[:, a - first : b - first] = y[:, a - mu : b - mu]
-        return _pairwise_window_sums(z, mu + 1)
+        spans = [(0, lo + 8)] + ([(hi, t + mu)] if hi < t + mu else [])
+        return _window_major(y, t + mu, n, mu, spans, copy_interior)
 
     def matrix(self) -> np.ndarray:
         p = np.zeros((self.out_dim, self.in_dim))
@@ -541,11 +599,7 @@ def _activation_from_dict(d: dict) -> Activation:
 def _smoothing_to_dict(s: smoothing.Smoother | None) -> dict:
     if s is None:
         return {"tau": 0.0}
-    if isinstance(s.window, smoothing.GridSteps):
-        mode = {"mode": "grid_steps", "count": s.window.count, "step": s.window.step}
-    else:
-        mode = {"mode": "tau_multiples", "factor": s.window.factor}
-    doc = {"tau": s.tau, "window_mode": mode, "M": s.quad_points}
+    doc = {"tau": s.tau, "window_mode": smoothing.window_to_dict(s.window), "M": s.quad_points}
     if s.renormalize:
         doc["renormalize"] = True
     return doc
@@ -554,13 +608,7 @@ def _smoothing_to_dict(s: smoothing.Smoother | None) -> dict:
 def _smoothing_from_dict(d: dict) -> smoothing.Smoother | None:
     if d.get("tau", 0.0) == 0.0:
         return None
-    wm = d["window_mode"]
-    if wm["mode"] == "grid_steps":
-        window = smoothing.GridSteps(int(wm["count"]), float(wm["step"]))
-    elif wm["mode"] == "tau_multiples":
-        window = smoothing.TauMultiples(float(wm["factor"]))
-    else:
-        raise ValueError(f"unknown window mode: {wm['mode']!r}")
+    window = smoothing.window_from_dict(d["window_mode"])
     return smoothing.Smoother(
         float(d["tau"]), window, int(d["M"]), bool(d.get("renormalize", False))
     )

@@ -50,6 +50,26 @@ class TauMultiples:
 
 Window = GridSteps | TauMultiples
 
+# The fields of each window mode, in the order configs and model files list them.
+WINDOW_FIELDS = {"grid_steps": ("count", "step"), "tau_multiples": ("factor",)}
+
+
+def window_to_dict(window: Window) -> dict:
+    """The window as configs and model files write it: its mode, then its fields."""
+    if isinstance(window, GridSteps):
+        return {"mode": "grid_steps", "count": window.count, "step": window.step}
+    return {"mode": "tau_multiples", "factor": window.factor}
+
+
+def window_from_dict(doc: dict) -> Window:
+    """The window that window_to_dict wrote; KeyError for a missing field,
+    ValueError or TypeError for an unknown mode or a bad value."""
+    if doc["mode"] == "grid_steps":
+        return GridSteps(int(doc["count"]), float(doc["step"]))
+    if doc["mode"] == "tau_multiples":
+        return TauMultiples(float(doc["factor"]))
+    raise ValueError(f"unknown window mode: {doc['mode']!r}")
+
 
 @dataclass(frozen=True)
 class Smoother:

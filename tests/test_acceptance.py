@@ -290,6 +290,7 @@ def sal_rows(rows):
     return [r for r in rows[1:] if r[0] == "sal"]
 
 
+@pytest.mark.slow
 def test_c07_desk_scale_kinked_target(desk_compare):
     rows = sal_rows(desk_compare["rows"])
     first = float(rows[0][3])
@@ -310,6 +311,7 @@ def test_c07_desk_scale_kinked_target(desk_compare):
     assert ok, line
 
 
+@pytest.mark.slow
 def test_c08_desk_scale_oscillatory_target():
     ds = make_train(target_oscillatory(), 0.0, 1.0, 0.0, 2001)
     grades = [
@@ -379,6 +381,7 @@ def test_c10_smoothing_quadrature():
     assert ok, line
 
 
+@pytest.mark.slow
 def test_c11_baseline_sanity_and_ordering(desk_compare):
     summary = desk_compare["summary"].strip().split("\n")
     line_2 = next(l for l in summary if l.startswith("rse <= 1.00000e-02"))

@@ -178,6 +178,104 @@ def test_echo_holds_resolved_values(tmp_path):
     assert cfg.echo["compare"]["thresholds"] == [1e-2, 1e-3, 1e-4]
 
 
+_WRONG_TYPES = [
+    (lambda d: d["data"].update(m="abc"), "data.m"),
+    (lambda d: d["data"].update(m=float("inf")), "data.m"),
+    (lambda d: d["data"].update(seed=None), "data.seed"),
+    (lambda d: d["sal"]["grades"][0].update(width="x"), "sal.grades[0].width"),
+    (lambda d: d["sal"]["grades"][1].update(tau=[0.1]), "sal.grades[1].tau"),
+    (lambda d: d["sal"]["grades"][0].update(epsilon="x"), "sal.grades[0].epsilon"),
+    (lambda d: d["sal"]["grades"][0].update(max_iters=[5]), "sal.grades[0].max_iters"),
+    (
+        lambda d: d["sal"]["grades"][0].update(activation={"kind": "leaky_relu", "slope": {}}),
+        "sal.grades[0].activation.slope",
+    ),
+    (
+        lambda d: d["sal"]["grades"][0].update(tau=0.1, window={"mode": ["grid_steps"]}),
+        "sal.grades[0].window.mode",
+    ),
+    (
+        lambda d: d["sal"]["grades"][0].update(
+            tau=0.1, window={"mode": "tau_multiples", "factor": None}
+        ),
+        "sal.grades[0].window",
+    ),
+    (lambda d: d["sal"].update(grades=5), "sal.grades"),
+    (lambda d: d["sal"].update(solver=[1]), "sal.solver"),
+    (lambda d: d["sal"].update(solver={"init_scale": None}), "sal.solver.init_scale"),
+    (lambda d: d.update(ssg={"widths": [4, None]}), "ssg.widths[1]"),
+    (lambda d: d.update(ssg={"widths": [4], "epochs": "many"}), "ssg.epochs"),
+    (lambda d: d.update(compare={"thresholds": 0.1}), "compare.thresholds"),
+    (lambda d: d.update(output={"dir": 7}), "output.dir"),
+]
+
+
+@pytest.mark.parametrize(
+    "edit, where", _WRONG_TYPES, ids=[f"{where}-{i}" for i, (_, where) in enumerate(_WRONG_TYPES)]
+)
+def test_wrong_typed_value_exits_with_2_naming_its_path_once(tmp_path, capsys, edit, where):
+    doc = sal_doc()
+    edit(doc)
+    out = tmp_path / "out"
+    args = ["train-sal", "--config", write_config(tmp_path, doc)]
+    if where != "output.dir":  # --out would stand in for output.dir
+        args += ["--out", str(out)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+    assert captured.err.count(where) == 1
+    assert captured.err.count(where.split(".")[0]) == 1
+    assert not out.exists() and sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_numbers_are_read_as_before(tmp_path):
+    # integral floats, booleans and numeric strings keep parsing to the same config
+    plain, loose = sal_doc(), sal_doc()
+    plain["data"].update(a=-1.0, b=1.0, seed=1)
+    loose["data"].update(a=-1, b=True, m=41.0, m_test="17", seed=True)
+    for doc in (plain, loose):
+        doc["sal"]["grades"][1].update(tau=0.5, window={"mode": "grid_steps", "count": 2, "step": 1})
+        doc["compare"] = {"thresholds": [1]}
+    plain["sal"]["grades"][0].update(width=6, max_iters=1, epsilon=1.0)
+    loose["sal"]["grades"][0].update(width=6.0, max_iters=True, epsilon=1)
+    plain["sal"]["grades"][1]["window"]["step"] = 1.0
+    loose["sal"]["grades"][1]["window"]["count"] = 2.0
+    got = [
+        parse_config(write_config(tmp_path, doc, f"{name}.json"), out_override="o")
+        for name, doc in [("plain", plain), ("loose", loose)]
+    ]
+    assert json.dumps(got[0].echo) == json.dumps(got[1].echo)
+    assert got[0].data == got[1].data and got[0].sal == got[1].sal
+    assert got[1].data["m"] == 41 and got[1].data["seed"] == 1 and got[1].thresholds == [1.0]
+
+
+def test_window_modes_echo_their_fields(tmp_path):
+    doc = sal_doc()
+    doc["sal"]["grades"][0].update(tau=1e-3, window={"mode": "grid_steps", "count": 4, "step": 0.01})
+    doc["sal"]["grades"][1].update(tau=1e-3, window={"mode": "tau_multiples", "factor": 6})
+    cfg = parse_config(write_config(tmp_path, doc))
+    echoed = [json.dumps(g["window"]) for g in cfg.echo["sal"]["grades"]]
+    assert echoed == [
+        '{"mode": "grid_steps", "count": 4, "step": 0.01}',
+        '{"mode": "tau_multiples", "factor": 6.0}',
+    ]
+
+
+@pytest.mark.parametrize("command", ["train-sal", "compare"])
+def test_data_too_large_for_memory_exits_with_2_before_writing(tmp_path, capsys, command):
+    # 10**15 grid points need 8 PB, beyond any address space, so the
+    # allocation fails at once
+    doc = sal_doc(ssg={"widths": [4], "epochs": 5})
+    doc["data"]["m"] = 10**15
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("data error: ") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 # --- command flows -----------------------------------------------------
 
 

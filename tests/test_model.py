@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,78 @@ def test_pool_replay_on_a_feature_block_matches_reference_bits():
     x = _spread(rng, (BLOCK_ROWS, pool.in_dim))
     _assert_bits(pool.apply(x), pool_ref.apply(pool, x))
     y = _spread(rng, (BLOCK_ROWS, 20))
+    _assert_bits(pool.adjoint(y), pool_ref.adjoint(pool, y))
+
+
+def _signed_zero_rows(rng, a):
+    """Rows of +0.0, of -0.0, and of both mixed with values, at and around
+    the WINDOW_ROWS block edges."""
+    m = len(a)
+    for r in range(0, m, WINDOW_ROWS):
+        a[r] = -0.0
+        a[min(r + 1, m - 1)] = 0.0
+        a[max(r - 1, 0), ::2] = -0.0
+        a[min(r + 2, m - 1)] = np.where(rng.random(a.shape[1]) < 0.5, -0.0, a[min(r + 2, m - 1)])
+    a[m - 1] = -0.0
+    return a
+
+
+@pytest.mark.parametrize("m", [WINDOW_ROWS - 1, WINDOW_ROWS, WINDOW_ROWS + 1, 2001])
+@pytest.mark.parametrize(
+    "t, mu",
+    _REPLAY_SHAPES
+    + [
+        (40, 20),  # t >= mu + 1: no interior columns
+        (113, 120),  # interior of 8 columns: reduced in full
+        (112, 120),  # interior of 9 columns: one copy
+    ],
+)
+def test_pool_window_major_blocks_match_reference_bits(m, t, mu):
+    rng = np.random.default_rng(m * 7 + t * 3 + mu)
+    pool = Pooling(t, mu)
+    x = _signed_zero_rows(rng, _spread(rng, (m, pool.in_dim)))
+    _assert_bits(pool.apply(x), pool_ref.apply(pool, x))
+    y = _signed_zero_rows(rng, _spread(rng, (m, t)))
+    _assert_bits(pool.adjoint(y), pool_ref.adjoint(pool, y))
+
+
+@pytest.mark.parametrize("t, mu", [(20, 108), (50, 299), (112, 120)])
+def test_pool_window_major_one_and_three_dim_inputs(t, mu):
+    rng = np.random.default_rng(t * mu)
+    pool = Pooling(t, mu)
+    for lead in [(), (3, 4), (2, WINDOW_ROWS + 3)]:
+        x = _spread(rng, lead + (pool.in_dim,))
+        _assert_bits(pool.apply(x), pool_ref.apply(pool, x))
+        y = _spread(rng, lead + (t,))
+        _assert_bits(pool.adjoint(y), pool_ref.adjoint(pool, y))
+
+
+def test_pool_back_to_back_calls_share_no_state():
+    # each call's work arrays are its own: a call with other rows and other
+    # values gives the reference bits, and leaves earlier results alone
+    rng = np.random.default_rng(99)
+    pool = Pooling(20, 108)
+    kept = []
+    for m in [2001, 513, 7, 2001, 1]:
+        x = _spread(rng, (m, pool.in_dim))
+        y = _spread(rng, (m, 20))
+        got = (pool.apply(x), pool.adjoint(y))
+        want = (pool_ref.apply(pool, x), pool_ref.adjoint(pool, y))
+        _assert_bits(got[0], want[0])
+        _assert_bits(got[1], want[1])
+        kept.append((got, want))
+    for got, want in kept:
+        _assert_bits(got[0], want[0])
+        _assert_bits(got[1], want[1])
+
+
+def test_pool_window_major_on_a_halved_feature_block_matches_reference_bits():
+    # a full BLOCK_ROWS block with a window above 128 (halved twice)
+    rng = np.random.default_rng(299)
+    pool = Pooling(50, 299)
+    x = _signed_zero_rows(rng, _spread(rng, (BLOCK_ROWS, pool.in_dim)))
+    _assert_bits(pool.apply(x), pool_ref.apply(pool, x))
+    y = _signed_zero_rows(rng, _spread(rng, (BLOCK_ROWS, 50)))
     _assert_bits(pool.adjoint(y), pool_ref.adjoint(pool, y))
 
 
@@ -460,6 +534,22 @@ def test_serialization_roundtrip():
     x = np.linspace(-2, 2, 9).reshape(-1, 1)
     assert np.array_equal(back.predict(x), model.predict(x))
     assert doc == model_to_dict(back)
+
+
+@pytest.mark.parametrize(
+    "window, written",
+    [
+        (smoothing.GridSteps(25, 1e-3), '{"mode": "grid_steps", "count": 25, "step": 0.001}'),
+        (smoothing.TauMultiples(6.0), '{"mode": "tau_multiples", "factor": 6.0}'),
+    ],
+)
+def test_model_file_pins_each_window_mode(window, written):
+    sm = smoothing.Smoother(0.005, window, 200)
+    model = Model(1, 1)
+    model.grades.append(Grade(np.ones((2, 1)), np.zeros(2), Pooling(1, 1), RELU, sm))
+    doc = model_to_dict(model)["grades"][0]["smoothing"]
+    assert json.dumps(doc) == f'{{"tau": 0.005, "window_mode": {written}, "M": 200}}'
+    assert model_from_dict(model_to_dict(model)).grades[0].smoother == sm
 
 
 def test_serialization_keeps_renormalized_smoother():

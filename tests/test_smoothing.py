@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -15,6 +16,8 @@ from sal_learn.smoothing import (
     smooth_at,
     smooth_fn_grid,
     smooth_grid,
+    window_from_dict,
+    window_to_dict,
 )
 
 
@@ -187,3 +190,22 @@ def test_smooth_grid_1d_values():
     sm = Smoother(tau=1e-2, window=TauMultiples(5.0), quad_points=60, renormalize=True)
     out = smooth_grid(vals, sm, grid)
     assert out.shape == vals.shape
+
+
+@pytest.mark.parametrize(
+    "window, written",
+    [
+        (GridSteps(4, 0.01), '{"mode": "grid_steps", "count": 4, "step": 0.01}'),
+        (TauMultiples(6.0), '{"mode": "tau_multiples", "factor": 6.0}'),
+    ],
+)
+def test_window_dict_round_trip(window, written):
+    assert json.dumps(window_to_dict(window)) == written
+    assert window_from_dict(json.loads(written)) == window
+
+
+def test_window_from_dict_rejects_unknown_mode_and_missing_field():
+    with pytest.raises(ValueError, match="unknown window mode: 'boxcar'"):
+        window_from_dict({"mode": "boxcar"})
+    with pytest.raises(KeyError):
+        window_from_dict({"mode": "grid_steps", "count": 3})

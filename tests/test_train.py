@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 import chain_reference as ref
+import pooling_reference as pool_ref
 from sal_learn import mlp, qp, smoothing
 from sal_learn.data import Dataset, make_test, make_train, target_nondiff, target_oscillatory
 from sal_learn.model import BLOCK_ROWS, IDENTITY, RELU, SINCOS_HALF, TANH, Activation, Model, Pooling, sq_norm
+from sal_learn.model import model_to_dict
 from sal_learn.train import (
     GradeConfig,
     TrainConfig,
@@ -317,3 +319,32 @@ def test_carry_at_distinct_nodes_matches_reference_chain():
         assert rec.rse_train == sq_norm(residual) / sq_norm(ds.targets)
         test_pred = test_pred + ref.component(model, k, test.inputs)
         assert rec.rse_test == rse(test_pred, test.targets)
+
+
+def test_train_sal_bits_match_reference_pooling(monkeypatch):
+    # a t = 20 cascade trained once as shipped and once with every window
+    # reduced in full (tests/pooling_reference.py); both runs use the same
+    # BLAS, so equal bits are expected on any build
+    ds = make_train(target_oscillatory(), 0.0, 1.0, 0.0, 601)
+    test = make_test(target_oscillatory(), 0.0, 1.0, 50, seed=2)
+    nesterov = qp.SolverConfig(epsilon=1e-15, max_iters=50, init="randn", init_scale=110.0)
+    window = smoothing.TauMultiples(6.0)
+    cfg = TrainConfig(
+        [
+            GradeConfig(width=148, activation=SINCOS_HALF, solver=nesterov),  # n = 129: halved
+            GradeConfig(
+                width=128, activation=RELU, tau=0.005, window=window, quad_points=20, solver=DIRECT
+            ),
+        ]
+    )
+
+    def run():
+        model, report = train_sal(ds, cfg, test=test)
+        assert report.records[0].iterations == 50
+        rse_bits = [(r.rse_train.hex(), r.rse_test.hex()) for r in report.records]
+        return model_to_dict(model), rse_bits
+
+    shipped = run()
+    monkeypatch.setattr(Pooling, "apply", pool_ref.apply)
+    monkeypatch.setattr(Pooling, "adjoint", pool_ref.adjoint)
+    assert run() == shipped
