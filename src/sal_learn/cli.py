@@ -280,11 +280,14 @@ def parse_config(
             head = _mlp_config(sal_doc["hybrid"], "sal.hybrid", _HYBRID_KEYS)
             if seed_override is not None:
                 head.seed = seed_override
+        track = sal_doc.get("record_test_metrics", True)
+        if not isinstance(track, bool):
+            raise ConfigError(f"sal.record_test_metrics: must be true or false, not {json.dumps(track)}")
         try:
             sal_cfg = train.TrainConfig(
                 grades=grades,
                 head=head,
-                record_test_metrics=bool(sal_doc.get("record_test_metrics", True)),
+                record_test_metrics=track,
             )
         except ValueError as exc:
             raise ConfigError(f"sal: {exc}") from None
@@ -305,6 +308,9 @@ def parse_config(
     _check_keys(out_doc, _OUTPUT_KEYS, "output")
     if out_override is None and not isinstance(out_doc.get("dir", "."), str):
         raise ConfigError("output.dir must be a string")
+    for key in ("csv", "model_path"):
+        if not isinstance(out_doc.get(key, ""), (str, type(None))):
+            raise ConfigError(f"output.{key} must be a string")
     out_dir = Path(out_override) if out_override is not None else Path(out_doc.get("dir", "."))
 
     echo = {

@@ -10,10 +10,9 @@ feed grade k+1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import smoothing
 
@@ -244,8 +243,8 @@ class Pooling:
     Pooling runs only elementwise NumPy operations, never BLAS, so its bits
     are the same on every BLAS build and CPU, and the BLAS products around
     it in qp keep their operands and layout.  For out_dim == 1 each row has
-    a single window, and one reduction is about twice as fast as a replay
-    there.
+    a single window, its whole last axis, so one mean over that axis is
+    the reference reduction itself and about twice as fast as a replay.
     """
 
     out_dim: int
@@ -269,7 +268,7 @@ class Pooling:
             return x.copy()
         n = self.mu + 1
         if self.out_dim == 1:
-            return sliding_window_view(x, n, axis=-1).mean(axis=-1)
+            return x.mean(axis=-1, keepdims=True)
         return _window_major(x, self.out_dim, n, 0, [(0, self.out_dim)])
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
@@ -535,18 +534,33 @@ class Model:
         """Grade k's component at the rows of x — smoothed when the grade says so."""
         return self._components(self._check_input(x), [k])[k]
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Sum of the per-grade components (plus the head), in grade order."""
+    def staged_predict(self, x: np.ndarray) -> Iterator[np.ndarray]:
+        """The running prediction at the rows of x: the head's (when there is
+        one), then the sum after each grade, in grade order.
+
+        Every grade's component is evaluated up front, with one chain run per
+        node set and no features kept; the sums are then formed one grade at
+        a time, so only the latest needs to stay alive.
+        """
         x = self._check_input(x)
-        if not self.grades and self.head is None:
-            raise ValueError("model has no grades and no head")
         if self.head is not None:
             out = np.asarray(self.head.predict(x), dtype=float)
+            yield out
         else:
             out = np.zeros((x.shape[0], self.output_dim))
         comps = self._components(x, range(len(self.grades)))
         for k in range(len(self.grades)):
-            out = out + comps[k]
+            out = out + comps.pop(k)
+            yield out
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """Sum of the per-grade components (plus the head), in grade order:
+        the last of staged_predict's sums."""
+        x = self._check_input(x)
+        if not self.grades and self.head is None:
+            raise ValueError("model has no grades and no head")
+        for out in self.staged_predict(x):
+            pass
         return out
 
 

@@ -40,7 +40,18 @@ class SplitMix64:
         return (self.next_u64() >> 11) * 2.0**-53
 
     def uniforms(self, n: int) -> np.ndarray:
-        return np.array([self.uniform() for _ in range(n)], dtype=float)
+        """n calls of uniform() at once: the same doubles and the same state
+        after.  np.uint64 arithmetic wraps modulo 2**64 as the masks do."""
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self.state)
+        self.state = (self.state + len(z) * _GAMMA) & _MASK64
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        return (z >> np.uint64(11)).astype(float) * 2.0**-53
 
     def standard_normal(self) -> float:
         """Box-Muller; consumes two uniforms per pair, caches the spare."""

@@ -118,7 +118,7 @@ def _component_smoother(cfg: GradeConfig) -> smoothing.Smoother | None:
 
 
 class _Carried:
-    """One point set of a training run and the features carried there.
+    """The training points and the features carried there between grades.
 
     `plain` holds N_k at the points x.  `nodes` holds N_k at the quadrature
     nodes of the last smoothed grade, under that grade's node key; it is
@@ -173,10 +173,10 @@ def train_grade(
     Returns the new grade, the next residual, and a record whose rse_train is
     the residual's share of the original target energy (for component-mode
     smoothing this equals the prediction-based rse; rse_test is left for the
-    caller, which owns the running test prediction).  `carried` holds the
-    features at the train inputs from earlier grades and moves them on to
-    this grade's output (train_sal passes it); without it they are computed
-    from the inputs.
+    caller, which scores the test set after the last grade).  `carried`
+    holds the features at the train inputs from earlier grades and moves
+    them on to this grade's output (train_sal passes it); without it they
+    are computed from the inputs.
     """
     start = time.perf_counter()
     t = dataset.targets.shape[1]
@@ -240,11 +240,23 @@ def train_grade(
     return grade, new_residual, record
 
 
+def _score_test(model: Model, records: list[GradeRecord], test: Dataset) -> None:
+    """Fill each record's rse_test from the model's running prediction at the
+    test points, in order (the head's record first)."""
+    for record, pred in zip(records, model.staged_predict(test.inputs)):
+        record.rse_test = rse(pred, test.targets)
+
+
 def train_sal(
     dataset: Dataset, cfg: TrainConfig, test: Dataset | None = None
 ) -> tuple[Model, TrainReport]:
     """Run the grades in order; the residual starts as the targets themselves
-    (minus the head's predictions when a hybrid head is configured)."""
+    (minus the head's predictions when a hybrid head is configured).
+
+    Only the training points carry features from grade to grade.  The test
+    set, when given and tracked, is scored after the last grade (or before a
+    TrainError, for the grades that trained) by Model.staged_predict, the
+    path predict runs."""
     x, y = dataset.inputs, dataset.targets
     if x.shape[0] == 0:
         raise ValueError("empty dataset")
@@ -253,14 +265,11 @@ def train_sal(
     start = time.perf_counter()
     residual = y
     track_test = test is not None and cfg.record_test_metrics
-    test_pred = np.zeros_like(test.targets) if track_test else None
     grade_offset = 1
     if cfg.head is not None:
         head_params, head_report = mlp.train_ssg(dataset, cfg.head, test=test)
         model.head = head_params
         residual = y - head_params.predict(x)
-        if track_test:
-            test_pred = head_params.predict(test.inputs)
         records.append(
             GradeRecord(
                 grade=1,
@@ -269,7 +278,6 @@ def train_sal(
                 iterations=head_report.metadata.get("epochs_run", cfg.head.epochs),
                 train_time_s=head_report.total_time_s,
                 rse_train=sq_norm(residual) / sq_norm(y),
-                rse_test=rse(test_pred, test.targets) if track_test else None,
                 stop_reason=head_report.metadata.get("stop_reason", ""),
             )
         )
@@ -279,7 +287,6 @@ def train_sal(
         sm = _component_smoother(gcfg)
         node_keys.append(None if sm is None else smoothing.node_key(sm))
     train_carried = _Carried(model, x, node_keys)
-    test_carried = _Carried(model, test.inputs, node_keys) if track_test else None
     for i, gcfg in enumerate(cfg.grades):
         if gcfg.solver.init != "zero":
             # vary the random start per grade so equal-width grades do not
@@ -290,14 +297,15 @@ def train_sal(
         try:
             grade, residual, record = train_grade(model, dataset, residual, gcfg, train_carried)
         except Exception as exc:
+            if track_test:
+                _score_test(model, records, test)
             partial = TrainReport(records=records, total_time_s=time.perf_counter() - start)
             raise TrainError(str(exc), model=model, report=partial) from exc
         model.grades.append(grade)
         record.grade = grade_offset + i
-        if track_test:
-            test_pred = test_pred + test_carried.component(model, i, advance=True)
-            record.rse_test = rse(test_pred, test.targets)
         records.append(record)
+    if track_test:
+        _score_test(model, records, test)
     report = TrainReport(
         records=records,
         total_time_s=time.perf_counter() - start,

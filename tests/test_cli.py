@@ -207,6 +207,11 @@ _WRONG_TYPES = [
     (lambda d: d.update(ssg={"widths": [4], "epochs": "many"}), "ssg.epochs"),
     (lambda d: d.update(compare={"thresholds": 0.1}), "compare.thresholds"),
     (lambda d: d.update(output={"dir": 7}), "output.dir"),
+    (lambda d: d["sal"].update(record_test_metrics="false"), "sal.record_test_metrics"),
+    (lambda d: d["sal"].update(record_test_metrics=0), "sal.record_test_metrics"),
+    (lambda d: d["sal"].update(record_test_metrics=None), "sal.record_test_metrics"),
+    (lambda d: d.update(output={"csv": 7}), "output.csv"),
+    (lambda d: d.update(output={"model_path": ["m.json"]}), "output.model_path"),
 ]
 
 
@@ -270,6 +275,42 @@ def test_data_too_large_for_memory_exits_with_2_before_writing(tmp_path, capsys,
     doc["data"]["m"] = 10**15
     out = tmp_path / "out"
     assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("data error: ") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train-sal", "train-ssg", "compare"])
+@pytest.mark.parametrize("key, value", [("csv", 3), ("csv", False), ("model_path", {"a": 1})])
+def test_non_string_output_name_exits_with_2_before_writing(tmp_path, capsys, command, key, value):
+    doc = sal_doc(ssg={"widths": [4], "epochs": 5}, output={key: value})
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: output.{key} must be a string\n"
+    assert not out.exists()
+
+
+def test_output_names_and_test_tracking_echo_as_before(tmp_path):
+    doc = sal_doc(output={"csv": "r.csv", "model_path": None})
+    doc["sal"]["record_test_metrics"] = False
+    cfg = parse_config(write_config(tmp_path, doc), out_override="o")
+    assert (cfg.csv_name, cfg.model_name) == ("r.csv", None)
+    assert cfg.sal.record_test_metrics is False
+    assert json.dumps(cfg.echo["sal"]).endswith('"record_test_metrics": false}')
+    cfg = parse_config(write_config(tmp_path, sal_doc()), out_override="o")
+    assert cfg.sal.record_test_metrics is True
+
+
+def test_test_set_too_large_for_memory_exits_with_2_before_writing(tmp_path, capsys):
+    # 10**15 test points: the draw allocates at once and fails, instead of
+    # drawing points one by one
+    doc = sal_doc()
+    doc["data"]["m_test"] = 10**15
+    out = tmp_path / "out"
+    assert main(["train-sal", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("data error: ") and captured.err.count("\n") == 1
@@ -371,7 +412,7 @@ def test_seed_flag_changes_the_fit(tmp_path):
 
 def test_train_sal_failure_leaves_partial_report(tmp_path, capsys):
     doc = {
-        "data": {"target": "oscillatory", "a": 0.0, "b": 1.0, "m": 51},
+        "data": {"target": "oscillatory", "a": 0.0, "b": 1.0, "m": 51, "m_test": 13},
         "sal": {
             "grades": [
                 {"width": 24, "method": "direct"},
@@ -389,6 +430,11 @@ def test_train_sal_failure_leaves_partial_report(tmp_path, capsys):
     assert "grade 1: iterations=" in log and " stop=direct" in log  # the grade that survived
     assert "FAILED:" in log
     assert not (out / "sal_model.json").exists()
+    # grade 1's test error is reported as a run of grade 1 alone reports it
+    doc["sal"]["grades"].pop()
+    alone = tmp_path / "alone"
+    assert main(["train-sal", "--config", write_config(tmp_path, doc), "--out", str(alone)]) == 0
+    assert rows[1][6] != "" and rows[1][6] == read_csv_rows(alone / "sal_report.csv")[1][6]
 
 
 def test_commands_demand_their_section(tmp_path, capsys):

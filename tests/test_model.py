@@ -302,6 +302,24 @@ def test_pool_apply_random_shapes_match_reference_bits():
         x[rng.random((m, t + mu)) < 0.1] = -0.0
         _assert_bits(pool.apply(x), pool_ref.apply(pool, x))
 
+
+def test_pool_apply_single_output_matches_reference_bits():
+    # one window spans the whole last axis, so apply is a plain mean over it
+    rng = np.random.default_rng(11)
+    for mu in (1, 7, 8, 99, 127, 128, 200, 300):
+        pool = Pooling(1, mu)
+        for shape in [(mu + 1,), (1001, mu + 1), (3, 4, mu + 1)]:
+            for scale in (1.0, 1e300, 1e-300):
+                x = rng.standard_normal(shape) * scale
+                x[..., ::3] = 0.0
+                x[..., 1::5] = -0.0
+                _assert_bits(pool.apply(x), pool_ref.apply(pool, x))
+            for zero in (0.0, -0.0):
+                x = np.full(shape, zero)
+                _assert_bits(pool.apply(x), pool_ref.apply(pool, x))
+        x = _spread(rng, (mu + 1, 50)).T  # not contiguous along the window
+        _assert_bits(pool.apply(x), pool_ref.apply(pool, x))
+
 def test_activation_values():
     x = np.array([-2.0, 0.0, 3.0])
     assert np.allclose(RELU(x), [0.0, 0.0, 3.0])

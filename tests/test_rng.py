@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from sal_learn.rng import SplitMix64
 
@@ -76,3 +77,23 @@ def test_uniforms_shape_and_dtype():
     xs = SplitMix64(1).uniforms(5)
     assert xs.shape == (5,)
     assert xs.dtype == np.float64
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3, 12345, 2**63 + 5, 2**64 - 1])
+@pytest.mark.parametrize("n", [0, 1, 7, 10_000])
+def test_uniforms_equal_repeated_uniform(seed, n):
+    # the bulk draw gives the scalar stream's doubles bit for bit and leaves
+    # the state where the scalar loop does, so the draws after it agree too
+    bulk, one = SplitMix64(seed), SplitMix64(seed)
+    got = bulk.uniforms(n)
+    want = [one.uniform() for _ in range(n)]
+    assert got.dtype == np.float64 and got.shape == (n,)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    assert bulk.state == one.state
+    assert [bulk.uniform(), bulk.next_u64()] == [one.uniform(), one.next_u64()]
+    assert [v.hex() for v in bulk.uniforms(5)] == [one.uniform().hex() for _ in range(5)]
+    assert bulk.standard_normal() == one.standard_normal()
+
+
+def test_uniforms_seed1_frozen():
+    assert SplitMix64(1).uniforms(3).tolist() == SEED1_UNIFORM

@@ -4,6 +4,7 @@ import pytest
 import chain_reference as ref
 import pooling_reference as pool_ref
 from sal_learn import mlp, qp, smoothing
+from sal_learn import train as train_mod
 from sal_learn.data import Dataset, make_test, make_train, target_nondiff, target_oscillatory
 from sal_learn.model import BLOCK_ROWS, IDENTITY, RELU, SINCOS_HALF, TANH, Activation, Model, Pooling, sq_norm
 from sal_learn.model import model_to_dict
@@ -187,15 +188,25 @@ def test_residual_smoothing_smooths_the_residual_not_the_model():
 
 def test_train_error_carries_partial_state():
     ds = make_train(target_oscillatory(), 0.0, 1.0, 0.0, 50)
+    test = make_test(target_oscillatory(), 0.0, 1.0, 23, seed=4)
     good = GradeConfig(width=24, solver=DIRECT)
     bad = GradeConfig(width=4, solver=DIRECT)  # width < 20 outputs
     with pytest.raises(TrainError) as exc_info:
-        train_sal(ds, TrainConfig(grades=[good, bad]))
+        train_sal(ds, TrainConfig(grades=[good, bad]), test=test)
     err = exc_info.value
     assert "grade 2 failed" in str(err)
     assert "width 4" in str(err)
     assert len(err.model.grades) == 1
     assert len(err.report.records) == 1
+    # the grade that trained keeps its test error, from the partial model
+    assert err.report.records[0].rse_test == rse(err.model.predict(test.inputs), test.targets)
+    # a hybrid head's record survives a failing first grade the same way
+    head = mlp.MlpTrainConfig(widths=[4], epochs=10, seed=2)
+    with pytest.raises(TrainError) as exc_info:
+        train_sal(ds, TrainConfig(grades=[bad], head=head), test=test)
+    err = exc_info.value
+    assert len(err.model.grades) == 0 and len(err.report.records) == 1
+    assert err.report.records[0].rse_test == rse(err.model.head.predict(test.inputs), test.targets)
 
 
 def test_grade_config_validation():
@@ -292,6 +303,78 @@ def test_carried_training_matches_reference_chain(hybrid):
         test_pred = test_pred + ref.component(model, k, test.inputs)
         assert rec.rse_test == rse(test_pred, test.targets)
     assert np.array_equal(model.predict(test.inputs), test_pred)
+
+
+def _two_node_set_grades():
+    """Unsmoothed grades around two smoothed grades sharing grid_steps nodes
+    and one with tau_multiples nodes."""
+    shared = smoothing.GridSteps(10, 2e-3)
+    return [
+        GradeConfig(width=6, activation=SINCOS_HALF, solver=DIRECT),
+        GradeConfig(width=6, activation=[RELU, TANH], tau=0.01, window=shared, quad_points=21, solver=DIRECT),
+        GradeConfig(width=6, activation=RELU, tau=0.005, window=shared, quad_points=21, solver=DIRECT),
+        GradeConfig(
+            width=6, activation=TANH, tau=0.01, window=smoothing.TauMultiples(3.0), quad_points=31, solver=DIRECT
+        ),
+        GradeConfig(width=6, activation=RELU, solver=DIRECT),
+    ]
+
+
+@pytest.mark.parametrize("hybrid", [False, True])
+def test_rse_test_is_that_of_the_running_predict_path_sum(hybrid):
+    ds = make_train(target_nondiff(), -1.0, 1.0, 0.0, 61)
+    test = make_test(target_nondiff(), -1.0, 1.0, 37, seed=6)
+    head = mlp.MlpTrainConfig(widths=[5], epochs=30, seed=2) if hybrid else None
+    model, report = train_sal(ds, TrainConfig(_two_node_set_grades(), head=head), test=test)
+    pred = model.head.predict(test.inputs) if hybrid else np.zeros_like(test.targets)
+    records = report.records
+    if hybrid:
+        assert records[0].rse_test == rse(pred, test.targets)
+        records = records[1:]
+    assert len(records) == len(model.grades)
+    for k, rec in enumerate(records):
+        pred = pred + model.component_values(k, test.inputs)
+        assert rec.rse_test == rse(pred, test.targets)
+    assert np.array_equal(model.predict(test.inputs), pred)
+    _, untracked = train_sal(
+        ds, TrainConfig(_two_node_set_grades(), head=head, record_test_metrics=False), test=test
+    )
+    assert [r.rse_test for r in untracked.records] == [None] * len(report.records)
+    assert [r.rse_train for r in untracked.records] == [r.rse_train for r in report.records]
+
+
+def test_test_set_runs_one_chain_per_node_set_after_training(monkeypatch):
+    # train and test point counts, and their distinct node counts, all differ,
+    # so each chain run's row count says which point set it served
+    ds = make_train(target_nondiff(), -1.0, 1.0, 0.0, 61)
+    test = make_test(target_nondiff(), -1.0, 1.0, 37, seed=6)
+    grades = _two_node_set_grades()
+    test_rows = {len(test.inputs): [0, 4]}
+    for ks in ([1, 2], [3]):
+        sm = smoothing.Smoother(grades[ks[0]].tau, grades[ks[0]].window, grades[ks[0]].quad_points)
+        nodes = smoothing.quadrature_nodes(sm, test.inputs[:, 0])
+        test_rows[np.unique(nodes.view(np.int64)).size] = ks
+    assert len(test_rows) == 3 and len(ds.inputs) not in test_rows
+    events = []
+    run_chain, train_grade = Model.run_chain, train_mod.train_grade
+
+    def recording_chain(self, points, wanted=(), carry=None, keep=None):
+        rows = len(carry.feats) if carry is not None else len(points)
+        events.append(("chain", rows, sorted(wanted), carry is not None, keep))
+        return run_chain(self, points, wanted, carry, keep)
+
+    def recording_grade(*args, **kwargs):
+        events.append(("grade",))
+        return train_grade(*args, **kwargs)
+
+    monkeypatch.setattr(Model, "run_chain", recording_chain)
+    monkeypatch.setattr(train_mod, "train_grade", recording_grade)
+    train_sal(ds, TrainConfig(grades), test=test)
+    last_grade = max(i for i, e in enumerate(events) if e[0] == "grade")
+    assert [e[0] for e in events].count("grade") == len(grades)
+    test_runs = [(i, e) for i, e in enumerate(events) if e[0] == "chain" and e[1] in test_rows]
+    assert [e for _, e in test_runs] == [("chain", rows, ks, False, None) for rows, ks in test_rows.items()]
+    assert all(i > last_grade for i, _ in test_runs)
 
 
 def test_carry_at_distinct_nodes_matches_reference_chain():
