@@ -11,15 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-
-import numpy as np
 
 from . import data as bench
 from . import mlp, qp, train
-from .model import Activation, Model
+from .model import Activation
 from .records import TrainReport
 from .reporting import (
     SAL_COLUMNS,
@@ -38,24 +35,35 @@ class ConfigError(ValueError):
     pass
 
 
+class Refusal(Exception):
+    """A command that refuses to run, raised before it writes anything: main
+    prints `<label>: <message>` as one stderr line and exits with 2."""
+
+    def __init__(self, label: str, message: str):
+        super().__init__(message)
+        self.label = label
+
+
 # --- config parsing ---------------------------------------------------------
 
 _TOP_KEYS = {"data", "sal", "ssg", "compare", "output"}
 _DATA_KEYS = {"target", "a", "b", "delta", "m", "m_test", "seed", "coeff_file", "custom_file"}
 _SAL_KEYS = {"solver", "grades", "hybrid", "record_test_metrics"}
-_SOLVER_KEYS = {
-    "method",
-    "epsilon",
-    "max_iters",
-    "ridge",
-    "lipschitz_safety",
-    "init",
-    "init_seed",
-    "init_scale",
+# Each solver key in echo order, with the kind its number is read as (None:
+# a name, passed on as written for SolverConfig to check).
+_SOLVER_FIELDS = {
+    "method": None,
+    "epsilon": float,
+    "max_iters": int,
+    "ridge": float,
+    "lipschitz_safety": float,
+    "init": None,
+    "init_seed": int,
+    "init_scale": float,
 }
+_SOLVER_KEYS = set(_SOLVER_FIELDS)
 _GRADE_KEYS = {"width", "activation", "tau", "window", "quad_points", "smoothing_target"} | _SOLVER_KEYS
 _SSG_KEYS = {"widths", "activations", "alpha", "epochs", "epsilon", "seed", "checkpoints"}
-_HYBRID_KEYS = _SSG_KEYS
 _COMPARE_KEYS = {"thresholds"}
 _OUTPUT_KEYS = {"dir", "csv", "model_path"}
 
@@ -143,21 +151,12 @@ def _window(spec, path: str):
 
 
 def _solver(doc: dict, defaults: qp.SolverConfig, path: str) -> qp.SolverConfig:
-    numbers = {
-        key: _number(kind, doc.get(key, getattr(defaults, key)), f"{path}.{key}")
-        for key, kind in [
-            ("epsilon", float),
-            ("max_iters", int),
-            ("ridge", float),
-            ("lipschitz_safety", float),
-            ("init_seed", int),
-            ("init_scale", float),
-        ]
-    }
+    values = {}
+    for key, kind in _SOLVER_FIELDS.items():
+        value = doc.get(key, getattr(defaults, key))
+        values[key] = value if kind is None else _number(kind, value, f"{path}.{key}")
     try:
-        return qp.SolverConfig(
-            method=doc.get("method", defaults.method), init=doc.get("init", defaults.init), **numbers
-        )
+        return qp.SolverConfig(**values)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -184,8 +183,8 @@ def _grade(doc: dict, defaults: qp.SolverConfig, path: str) -> train.GradeConfig
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _mlp_config(doc: dict, path: str, allowed: set) -> mlp.MlpTrainConfig:
-    _check_keys(doc, allowed, path)
+def _mlp_config(doc: dict, path: str) -> mlp.MlpTrainConfig:
+    _check_keys(doc, _SSG_KEYS, path)
     widths = _numbers(_require(doc, "widths", path), int, f"{path}.widths")
     activations = None
     if "activations" in doc:
@@ -277,7 +276,7 @@ def parse_config(
                 g.solver.init_seed = seed_override
         head = None
         if "hybrid" in sal_doc:
-            head = _mlp_config(sal_doc["hybrid"], "sal.hybrid", _HYBRID_KEYS)
+            head = _mlp_config(sal_doc["hybrid"], "sal.hybrid")
             if seed_override is not None:
                 head.seed = seed_override
         track = sal_doc.get("record_test_metrics", True)
@@ -294,7 +293,7 @@ def parse_config(
 
     ssg_cfg = None
     if "ssg" in doc:
-        ssg_cfg = _mlp_config(doc["ssg"], "ssg", _SSG_KEYS)
+        ssg_cfg = _mlp_config(doc["ssg"], "ssg")
         if seed_override is not None:
             ssg_cfg.seed = seed_override
 
@@ -352,14 +351,7 @@ def _echo_sal(cfg: train.TrainConfig) -> dict:
             "tau": g.tau,
             "quad_points": g.quad_points,
             "smoothing_target": g.smoothing_target,
-            "method": g.solver.method,
-            "epsilon": g.solver.epsilon,
-            "max_iters": g.solver.max_iters,
-            "ridge": g.solver.ridge,
-            "lipschitz_safety": g.solver.lipschitz_safety,
-            "init": g.solver.init,
-            "init_seed": g.solver.init_seed,
-            "init_scale": g.solver.init_scale,
+            **{key: getattr(g.solver, key) for key in _SOLVER_FIELDS},
         }
         if g.window is not None:
             entry["window"] = window_to_dict(g.window)
@@ -371,24 +363,19 @@ def _echo_sal(cfg: train.TrainConfig) -> dict:
 
 
 def _echo_mlp(cfg: mlp.MlpTrainConfig) -> dict:
-    return {
-        "widths": cfg.widths,
-        "activations": None if cfg.activations is None else [_echo_activation(a) for a in cfg.activations],
-        "alpha": cfg.alpha,
-        "epochs": cfg.epochs,
-        "epsilon": cfg.epsilon,
-        "seed": cfg.seed,
-        "checkpoints": cfg.checkpoints,
-    }
+    echo = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    if cfg.activations is not None:
+        echo["activations"] = _echo_activation(cfg.activations)
+    return echo
 
 
 # --- command bodies ---------------------------------------------------------
 
 
 def _build_datasets(cfg: RunConfig):
-    """The train and test sets; None (after one `data error` line) when the
-    target's file cannot be read or holds no valid target, or the sets do
-    not fit in memory."""
+    """The train and test sets.  Raises a `data error` Refusal when the
+    target's file cannot be read or holds no valid target, or the sets do not
+    fit in memory."""
     d = cfg.data
     path = d.get("custom_file" if d["target"] == "custom" else "coeff_file")
     try:
@@ -396,34 +383,31 @@ def _build_datasets(cfg: RunConfig):
             d["target"], coeff_path=d.get("coeff_file"), custom_path=d.get("custom_file")
         )
     except OSError as exc:
-        print(f"data error: cannot read {path}: {exc.strerror or exc}", file=sys.stderr)
-        return None
+        raise Refusal("data error", f"cannot read {path}: {exc.strerror or exc}") from None
     except ValueError as exc:
-        print(f"data error: {path + ': ' if path else ''}{exc}", file=sys.stderr)
-        return None
+        raise Refusal("data error", f"{path + ': ' if path else ''}{exc}") from None
     try:
         train_set = bench.make_train(target, d["a"], d["b"], d["delta"], d["m"])
         test_set = None
         if d["m_test"] > 0:
             test_set = bench.make_test(target, d["a"], d["b"], d["m_test"], d["seed"])
     except MemoryError as exc:
-        print(f"data error: cannot build the data sets: {exc or 'out of memory'}", file=sys.stderr)
-        return None
+        raise Refusal("data error", f"cannot build the data sets: {exc or 'out of memory'}") from None
     return train_set, test_set
 
 
-def _prepare_out(cfg: RunConfig) -> Path | None:
-    """Create the output directory and echo the config there; None (after one
-    `output error` line) when that fails."""
+def _start(cfg: RunConfig):
+    """The train and test sets, once the output directory exists with the
+    config echoed there.  Raises a `data error` or `output error` Refusal."""
+    datasets = _build_datasets(cfg)
     try:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
         with open(cfg.out_dir / "config_echo.json", "w") as fh:
             json.dump(cfg.echo, fh, indent=2)
             fh.write("\n")
     except OSError as exc:
-        print(f"output error: {exc}", file=sys.stderr)
-        return None
-    return cfg.out_dir
+        raise Refusal("output error", str(exc)) from None
+    return datasets
 
 
 def _log(out_dir: Path, lines: list[str]) -> None:
@@ -447,57 +431,52 @@ def _grade_lines(report: TrainReport) -> list[str]:
     return lines
 
 
-def cmd_train_sal(cfg: RunConfig) -> int:
-    if cfg.sal is None:
-        print("error: config has no sal section", file=sys.stderr)
-        return 2
-    datasets = _build_datasets(cfg)
-    out_dir = _prepare_out(cfg) if datasets is not None else None
-    if out_dir is None:
-        return 2
-    train_set, test_set = datasets
-    csv_path = out_dir / (cfg.csv_name or "sal_report.csv")
-    model_path = out_dir / (cfg.model_name or "sal_model.json")
-    log = [f"command: train-sal", f"train points: {train_set.inputs.shape[0]}"]
+def _train_sal(cfg: RunConfig, train_set, test_set):
+    """(model, report, None) from train.train_sal; (None, the report of the
+    grades that trained, the TrainError) when a grade fails."""
     try:
         model, report = train.train_sal(train_set, cfg.sal, test=test_set)
     except train.TrainError as exc:
-        partial = exc.report or TrainReport()
-        write_csv(sal_report_rows(partial), csv_path, SAL_COLUMNS)
-        _log(out_dir, log + _grade_lines(partial) + [f"FAILED: {exc}"])
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return None, exc.report or TrainReport(), exc
+    return model, report, None
+
+
+def cmd_train_sal(cfg: RunConfig) -> int:
+    if cfg.sal is None:
+        raise Refusal("error", "config has no sal section")
+    train_set, test_set = _start(cfg)
+    csv_path = cfg.out_dir / (cfg.csv_name or "sal_report.csv")
+    model_path = cfg.out_dir / (cfg.model_name or "sal_model.json")
+    model, report, err = _train_sal(cfg, train_set, test_set)
     write_csv(sal_report_rows(report), csv_path, SAL_COLUMNS)
+    log = ["command: train-sal", f"train points: {train_set.inputs.shape[0]}"] + _grade_lines(report)
+    if err is not None:
+        _log(cfg.out_dir, log + [f"FAILED: {err}"])
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     save_model(model, model_path)
-    log += _grade_lines(report)
-    log.append(f"total_time_s: {report.total_time_s:.3f}")
-    _log(out_dir, log)
+    _log(cfg.out_dir, log + [f"total_time_s: {report.total_time_s:.3f}"])
     print(f"wrote {csv_path} and {model_path}")
     return 0
 
 
 def cmd_train_ssg(cfg: RunConfig) -> int:
     if cfg.ssg is None:
-        print("error: config has no ssg section", file=sys.stderr)
-        return 2
-    datasets = _build_datasets(cfg)
-    out_dir = _prepare_out(cfg) if datasets is not None else None
-    if out_dir is None:
-        return 2
-    train_set, test_set = datasets
-    csv_path = out_dir / (cfg.csv_name or "ssg_report.csv")
-    model_path = out_dir / (cfg.model_name or "ssg_model.json")
+        raise Refusal("error", "config has no ssg section")
+    train_set, test_set = _start(cfg)
+    csv_path = cfg.out_dir / (cfg.csv_name or "ssg_report.csv")
+    model_path = cfg.out_dir / (cfg.model_name or "ssg_model.json")
     try:
         params, report = mlp.train_ssg(train_set, cfg.ssg, test=test_set)
     except RuntimeError as exc:
-        _log(out_dir, [f"command: train-ssg", f"FAILED: {exc}"])
+        _log(cfg.out_dir, ["command: train-ssg", f"FAILED: {exc}"])
         print(f"error: {exc}", file=sys.stderr)
         return 1
     write_csv(report.records, csv_path, SSG_COLUMNS)
     save_mlp(params, model_path)
     _log(
-        out_dir,
-        [f"command: train-ssg", f"metadata: {report.metadata}", f"total_time_s: {report.total_time_s:.3f}"],
+        cfg.out_dir,
+        ["command: train-ssg", f"metadata: {report.metadata}", f"total_time_s: {report.total_time_s:.3f}"],
     )
     print(f"wrote {csv_path} and {model_path}")
     return 0
@@ -521,43 +500,32 @@ def _ssg_time_to(report: TrainReport, threshold: float) -> tuple[float, str] | N
 
 def cmd_compare(cfg: RunConfig) -> int:
     if cfg.sal is None:
-        print("error: compare needs a sal section", file=sys.stderr)
-        return 2
+        raise Refusal("error", "compare needs a sal section")
     if cfg.ssg is None:
-        print("error: compare needs an ssg section", file=sys.stderr)
-        return 2
-    datasets = _build_datasets(cfg)
-    out_dir = _prepare_out(cfg) if datasets is not None else None
-    if out_dir is None:
-        return 2
-    train_set, test_set = datasets
-    csv_path = out_dir / (cfg.csv_name or "compare.csv")
+        raise Refusal("error", "compare needs an ssg section")
+    train_set, test_set = _start(cfg)
+    csv_path = cfg.out_dir / (cfg.csv_name or "compare.csv")
 
-    sal_report = ssg_report = None
-    sal_err = ssg_err = None
-    try:
-        _, sal_report = train.train_sal(train_set, cfg.sal, test=test_set)
-    except train.TrainError as exc:
-        sal_err = str(exc)
+    _, sal_report, sal_err = _train_sal(cfg, train_set, test_set)
+    ssg_report = ssg_err = None
     try:
         _, ssg_report = mlp.train_ssg(train_set, cfg.ssg, test=test_set)
     except RuntimeError as exc:
-        ssg_err = str(exc)
+        ssg_err = exc
 
     rows = []
-    if sal_report is not None:
-        cum = 0.0
-        for rec in sal_report.records:
-            cum += rec.train_time_s
-            rows.append(
-                {
-                    "method": "sal",
-                    "stage": f"grade {rec.grade}",
-                    "cumulative_time_s": cum,
-                    "rse_train": rec.rse_train,
-                    "rse_test": rec.rse_test,
-                }
-            )
+    cum = 0.0
+    for rec in sal_report.records:
+        cum += rec.train_time_s
+        rows.append(
+            {
+                "method": "sal",
+                "stage": f"grade {rec.grade}",
+                "cumulative_time_s": cum,
+                "rse_train": rec.rse_train,
+                "rse_test": rec.rse_test,
+            }
+        )
     if ssg_report is not None:
         for rec in ssg_report.records:
             rows.append(
@@ -572,12 +540,12 @@ def cmd_compare(cfg: RunConfig) -> int:
     write_csv(rows, csv_path, ["method", "stage", "cumulative_time_s", "rse_train", "rse_test"])
 
     lines = []
-    if sal_err:
+    if sal_err is not None:
         lines.append(f"sal FAILED: {sal_err}")
-    if ssg_err:
+    if ssg_err is not None:
         lines.append(f"ssg FAILED: {ssg_err}")
     for thr in cfg.thresholds:
-        sal_hit = _sal_time_to(sal_report, thr) if sal_report else None
+        sal_hit = _sal_time_to(sal_report, thr)
         ssg_hit = _ssg_time_to(ssg_report, thr) if ssg_report else None
         sal_txt = f"{sal_hit[0]:.3f} s ({sal_hit[1]})" if sal_hit else "not reached"
         ssg_txt = f"{ssg_hit[0]:.3f} s ({ssg_hit[1]})" if ssg_hit else "not reached"
@@ -592,11 +560,10 @@ def cmd_compare(cfg: RunConfig) -> int:
             line += f"; time ratio ssg/sal = {ssg_hit[0] / sal_hit[0]:.2f}"
         lines.append(line)
     summary = "\n".join(lines)
-    with open(out_dir / "compare_summary.txt", "w") as fh:
+    with open(cfg.out_dir / "compare_summary.txt", "w") as fh:
         fh.write(summary + "\n")
     print(summary)
-    grade_lines = _grade_lines(sal_report) if sal_report is not None else []
-    _log(out_dir, ["command: compare"] + grade_lines + lines)
+    _log(cfg.out_dir, ["command: compare"] + _grade_lines(sal_report) + lines)
     return 0 if sal_err is None and ssg_err is None else 1
 
 
@@ -604,26 +571,27 @@ def cmd_eval(model_path, cfg: RunConfig) -> int:
     try:
         model = load_model(model_path)
     except (OSError, ValueError) as exc:
-        print(f"model error: {exc}", file=sys.stderr)
-        return 2
-    datasets = _build_datasets(cfg)
-    if datasets is None:
-        return 2
-    train_set, test_set = datasets
+        raise Refusal("model error", str(exc)) from None
+    train_set, test_set = _build_datasets(cfg)
     data_dims = (train_set.inputs.shape[1], train_set.targets.shape[1])
     if (model.input_dim, model.output_dim) != data_dims:
-        print(
-            f"model error: model maps {model.input_dim} -> {model.output_dim} dims,"
+        raise Refusal(
+            "model error",
+            f"model maps {model.input_dim} -> {model.output_dim} dims,"
             f" the config's data {data_dims[0]} -> {data_dims[1]}",
-            file=sys.stderr,
         )
-        return 2
-    pred = model.predict(train_set.inputs)
+    try:
+        pred = model.predict(train_set.inputs)
+        pred_test = None if test_set is None else model.predict(test_set.inputs)
+    except (MemoryError, OverflowError) as exc:  # a size beyond memory, or beyond a double
+        raise Refusal("model error", f"cannot evaluate the model: {exc or 'out of memory'}") from None
     print(f"rse(train) = {train.rse(pred, train_set.targets):.5e}")
     if test_set is not None:
-        pred_test = model.predict(test_set.inputs)
         print(f"rse(test) = {train.rse(pred_test, test_set.targets):.5e}")
     return 0
+
+
+_COMMANDS = {"train-sal": cmd_train_sal, "train-ssg": cmd_train_ssg, "compare": cmd_compare}
 
 
 # --- entry point ------------------------------------------------------------
@@ -635,7 +603,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Grade-by-grade affine least-squares training and its MLP baseline.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("train-sal", "train-ssg", "compare"):
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None, help="output directory (overrides output.dir)")
@@ -651,16 +619,14 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config, getattr(args, "out", None), args.seed)
+        if args.command == "eval":
+            return cmd_eval(args.model, cfg)
+        return _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    if args.command == "train-sal":
-        return cmd_train_sal(cfg)
-    if args.command == "train-ssg":
-        return cmd_train_ssg(cfg)
-    if args.command == "compare":
-        return cmd_compare(cfg)
-    return cmd_eval(args.model, cfg)
+    except Refusal as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

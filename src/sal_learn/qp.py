@@ -204,10 +204,8 @@ class SolveStats:
     lipschitz: float | None = None  # the bound L behind the 1/L step (Nesterov only)
 
 
-def nesterov_solve(
-    problem: Problem, cfg: SolverConfig, init: tuple[np.ndarray, np.ndarray] | None = None
-) -> tuple[np.ndarray, np.ndarray, SolveStats]:
-    """Constant-step accelerated gradient from a zero (or given) start.
+def nesterov_solve(problem: Problem, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray, SolveStats]:
+    """Constant-step accelerated gradient from the start cfg.init picks.
 
     Stops when the relative objective change between consecutive iterates
     drops below cfg.epsilon, or at max_iters.  The trace, when recorded,
@@ -218,10 +216,7 @@ def nesterov_solve(
     t0 = time.perf_counter()
     lip = lipschitz_bound(problem, cfg.lipschitz_safety)
     shape = (problem.pooling.in_dim, problem.n_features)
-    if init is not None:
-        w = np.array(init[0], dtype=float)
-        b = np.array(init[1], dtype=float)
-    elif cfg.init in ("he", "randn"):
+    if cfg.init in ("he", "randn"):
         stream = SplitMix64(cfg.init_seed)
         std = math.sqrt(2.0 / shape[1]) if cfg.init == "he" else 1.0
         std *= cfg.init_scale

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import json.encoder
+import math
 from dataclasses import asdict, is_dataclass
 
 from .mlp import MlpParams
@@ -111,22 +112,35 @@ def save_mlp(params: MlpParams, path) -> None:
     _write(json.dumps(doc, cls=_PrecisionEncoder, indent=1), path)
 
 
+def _all_finite(node) -> bool:
+    """Whether every float in a parsed JSON document is finite; json reads
+    NaN, Infinity and an overflowing literal such as 1e999 as non-finite."""
+    if isinstance(node, dict):
+        return all(map(_all_finite, node.values()))
+    if isinstance(node, list):
+        return all(map(_all_finite, node))
+    return not isinstance(node, float) or math.isfinite(node)
+
+
 def load_model(path) -> Model | MlpParams:
     """Load a superposition model, or a baseline MLP written by save_mlp.
 
     Raises OSError when the file cannot be read and ValueError when it is
-    not a model document.
+    not a model document or holds a number that is not finite, which
+    save_model never writes.
     """
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise OSError(f"cannot read model {path}: {exc}") from exc
-    except ValueError as exc:
+    except (RecursionError, ValueError) as exc:
         raise ValueError(f"cannot parse model {path}: {exc}") from exc
     try:
+        if not _all_finite(doc):
+            raise ValueError("a number is not finite")
         if isinstance(doc, dict) and doc.get("kind") == "mlp":
             return MlpParams.from_dict(doc)
         return model_from_dict(doc)
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, IndexError, KeyError, OverflowError, RecursionError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed model {path}: {exc!r}") from exc

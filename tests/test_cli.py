@@ -14,6 +14,7 @@ from sal_learn import cli, mlp
 from sal_learn.cli import ConfigError, main, parse_config
 from sal_learn.model import Model
 from sal_learn.reporting import load_model
+from sal_learn.smoothing import WINDOW_FIELDS
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -35,6 +36,38 @@ def sal_doc(**extra):
     }
     doc.update(extra)
     return doc
+
+
+def failing_sal_doc():
+    """Grade 1 trains; grade 2 (4 features pooled to the 20 oscillatory
+    outputs) fails."""
+    return {
+        "data": {"target": "oscillatory", "a": 0.0, "b": 1.0, "m": 51, "m_test": 13},
+        "sal": {
+            "grades": [
+                {"width": 24, "method": "direct"},
+                {"width": 4, "method": "direct"},
+            ]
+        },
+    }
+
+
+def accepted_keys():
+    """Every key parse_config accepts, at any depth."""
+    return (
+        cli._TOP_KEYS | cli._DATA_KEYS | cli._SAL_KEYS | cli._GRADE_KEYS | cli._SSG_KEYS
+        | cli._COMPARE_KEYS | cli._OUTPUT_KEYS
+        | {"mode", *(k for ks in WINDOW_FIELDS.values() for k in ks)}  # window
+        | {"kind", "slope"}  # activation object
+    )
+
+
+def keys_in(doc):
+    if isinstance(doc, dict):
+        return set(doc).union(*(keys_in(v) for v in doc.values()))
+    if isinstance(doc, list):
+        return set().union(*(keys_in(v) for v in doc))
+    return set()
 
 
 # --- config validation -------------------------------------------------
@@ -176,6 +209,117 @@ def test_echo_holds_resolved_values(tmp_path):
     assert cfg.echo["data"]["m"] == 41
     assert cfg.echo["output"]["dir"].endswith("out")
     assert cfg.echo["compare"]["thresholds"] == [1e-2, 1e-3, 1e-4]
+
+
+_EVERY_KEY = {
+    "data": {
+        "target": "custom",
+        "a": -0.5,
+        "b": 2,
+        "delta": 0.125,
+        "m": 33,
+        "m_test": 9,
+        "seed": 4,
+        "coeff_file": "coeffs.txt",
+        "custom_file": "table.csv",
+    },
+    "sal": {
+        "solver": {
+            "method": "direct",
+            "epsilon": 1e-9,
+            "max_iters": 700,
+            "ridge": 0.5,
+            "lipschitz_safety": 1.25,
+            "init": "he",
+            "init_seed": 3,
+            "init_scale": 2,
+        },
+        "grades": [
+            {
+                "width": 5,
+                "activation": ["relu", {"kind": "leaky_relu", "slope": 0.3}, "sincos_half"],
+                "tau": 0.01,
+                "window": {"mode": "grid_steps", "count": 7, "step": 0.002},
+                "quad_points": 31,
+                "smoothing_target": "residual",
+                "method": "nesterov",
+                "epsilon": 1e-6,
+                "max_iters": 40,
+                "ridge": 0,
+                "lipschitz_safety": 1,
+                "init": "randn",
+                "init_seed": 8,
+                "init_scale": 0.5,
+            },
+            {
+                "width": 6,
+                "activation": {"kind": "leaky_relu", "slope": 0.2},
+                "tau": 0.02,
+                "window": {"mode": "tau_multiples", "factor": 4},
+            },
+            {"width": 7, "activation": "tanh", "max_iters": 9},
+        ],
+        "hybrid": {
+            "widths": [4, 3],
+            "activations": ["tanh", {"kind": "leaky_relu", "slope": 0.1}],
+            "alpha": 0.01,
+            "epochs": 12,
+            "epsilon": 1e-8,
+            "seed": 5,
+            "checkpoints": [3, 6],
+        },
+        "record_test_metrics": False,
+    },
+    "ssg": {
+        "widths": [8],
+        "activations": ["sincos_half"],
+        "alpha": 0.002,
+        "epochs": 25,
+        "epsilon": 1e-9,
+        "seed": 6,
+        "checkpoints": [5, 10, 20],
+    },
+    "compare": {"thresholds": [0.5, 1e-3]},
+    "output": {"dir": "runs/every_key", "csv": "report.csv", "model_path": "model.json"},
+}
+
+# the echo of _EVERY_KEY, frozen: config_echo.json keeps these keys, their
+# order and their values
+_EVERY_KEY_ECHO = (
+    '{"data": {"target": "custom", "a": -0.5, "b": 2.0, "delta": 0.125, "m": 33, "m_test": 9, '
+    '"seed": 4, "coeff_file": "coeffs.txt", "custom_file": "table.csv"}, '
+    '"output": {"dir": "runs/every_key"}, "compare": {"thresholds": [0.5, 0.001]}, '
+    '"sal": {"grades": [{"width": 5, "activation": ["relu", {"kind": "leaky_relu", '
+    '"slope": 0.3}, "sincos_half"], "tau": 0.01, "quad_points": 31, '
+    '"smoothing_target": "residual", "method": "nesterov", "epsilon": 1e-06, "max_iters": 40, '
+    '"ridge": 0.0, "lipschitz_safety": 1.0, "init": "randn", "init_seed": 8, '
+    '"init_scale": 0.5, "window": {"mode": "grid_steps", "count": 7, "step": 0.002}}, '
+    '{"width": 6, "activation": {"kind": "leaky_relu", "slope": 0.2}, "tau": 0.02, '
+    '"quad_points": 200, "smoothing_target": "component", "method": "direct", '
+    '"epsilon": 1e-09, "max_iters": 700, "ridge": 0.5, "lipschitz_safety": 1.25, "init": "he", '
+    '"init_seed": 3, "init_scale": 2.0, "window": {"mode": "tau_multiples", "factor": 4.0}}, '
+    '{"width": 7, "activation": "tanh", "tau": 0.0, "quad_points": 200, '
+    '"smoothing_target": "component", "method": "direct", "epsilon": 1e-09, "max_iters": 9, '
+    '"ridge": 0.5, "lipschitz_safety": 1.25, "init": "he", "init_seed": 3, '
+    '"init_scale": 2.0}], "record_test_metrics": false, "hybrid": {"widths": [4, 3], '
+    '"activations": ["tanh", {"kind": "leaky_relu", "slope": 0.1}], "alpha": 0.01, '
+    '"epochs": 12, "epsilon": 1e-08, "seed": 5, "checkpoints": [3, 6]}}, '
+    '"ssg": {"widths": [8], "activations": ["sincos_half"], "alpha": 0.002, "epochs": 25, '
+    '"epsilon": 1e-09, "seed": 6, "checkpoints": [5, 10, 20]}}'
+)
+
+
+def test_config_setting_every_key_echoes_as_frozen(tmp_path):
+    assert keys_in(_EVERY_KEY) == accepted_keys()
+    cfg = parse_config(write_config(tmp_path, _EVERY_KEY))
+    assert json.dumps(cfg.echo) == _EVERY_KEY_ECHO
+
+
+def test_readme_names_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cli_section = readme.split("\n## CLI\n")[1].split("\n## ")[0]
+    named = set(re.findall(r"\w+", " ".join(re.findall(r"`+([^`]+)`+", cli_section))))
+    assert sorted(accepted_keys() - named) == []
 
 
 _WRONG_TYPES = [
@@ -411,15 +555,7 @@ def test_seed_flag_changes_the_fit(tmp_path):
 
 
 def test_train_sal_failure_leaves_partial_report(tmp_path, capsys):
-    doc = {
-        "data": {"target": "oscillatory", "a": 0.0, "b": 1.0, "m": 51, "m_test": 13},
-        "sal": {
-            "grades": [
-                {"width": 24, "method": "direct"},
-                {"width": 4, "method": "direct"},
-            ]
-        },
-    }
+    doc = failing_sal_doc()
     cfg_path = write_config(tmp_path, doc)
     out = tmp_path / "fail"
     assert main(["train-sal", "--config", cfg_path, "--out", str(out)]) == 1
@@ -495,6 +631,23 @@ def test_compare_end_to_end(tmp_path, capsys):
     assert "grade 1: iterations=" in (out / "run.log").read_text()
 
 
+def test_compare_failure_keeps_the_grades_that_trained(tmp_path, capsys):
+    doc = failing_sal_doc()
+    doc["ssg"] = {"widths": [4], "epochs": 5}
+    cfg_path = write_config(tmp_path, doc)
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", cfg_path, "--out", str(out)]) == 1
+    assert main(["train-sal", "--config", cfg_path, "--out", str(tmp_path / "sal")]) == 1
+    capsys.readouterr()
+    partial = read_csv_rows(tmp_path / "sal" / "sal_report.csv")[1]
+    sal_rows = [r for r in read_csv_rows(out / "compare.csv")[1:] if r[0] == "sal"]
+    assert [r[1] for r in sal_rows] == ["grade 1"]
+    assert sal_rows[0][4] != "" and sal_rows[0][4] == partial[6]
+    log = (out / "run.log").read_text()
+    assert "grade 1: iterations=" in log and "sal FAILED: " in log
+    assert (out / "compare_summary.txt").exists()
+
+
 def test_eval_matches_training_report(tmp_path, capsys):
     cfg_path = write_config(tmp_path, sal_doc())
     out = tmp_path / "run"
@@ -525,6 +678,9 @@ def test_eval_malformed_model_exits_with_2(tmp_path, capsys):
         ("truncated.json", '{"grades": ['),
         ("version.json", '{"format_version": 7, "grades": []}'),
         ("keys.json", '{"format_version": 1, "input_dim": 1, "output_dim": 1, "grades": [{}]}'),
+        # nested deeper than the recursion limit, when parsed and when checked
+        ("deep.json", "[" * 100_000 + "]" * 100_000),
+        ("nested.json", "[" * 900 + "]" * 900),
     )
     for name, text in cases:
         path = tmp_path / name
@@ -559,6 +715,72 @@ def test_eval_model_of_other_dims_exits_with_2(tmp_path, capsys):
         assert captured.err.startswith("model error: ") and captured.err.count("\n") == 1
         assert f"model maps {dims[0]} dims, the config's data {dims[1]}" in captured.err
     assert main(["eval", "--model", model_path, "--config", cfg_path]) == 0
+
+
+@pytest.fixture(scope="module")
+def trained_models(tmp_path_factory):
+    """A cascade, a cascade on a hybrid head and a baseline MLP: for each, the
+    config that trained it, its model file and the path to its first weight."""
+    root = tmp_path_factory.mktemp("trained")
+    hybrid = sal_doc()
+    hybrid["sal"]["hybrid"] = {"widths": [4], "epochs": 5}
+    mlp_doc = {"data": sal_doc()["data"], "ssg": {"widths": [4], "epochs": 5}}
+    runs = {
+        "cascade": ("train-sal", sal_doc(), "sal_model.json", ["grades", 0]),
+        "hybrid": ("train-sal", hybrid, "sal_model.json", ["hybrid_head", "layers", 0]),
+        "mlp": ("train-ssg", mlp_doc, "ssg_model.json", ["layers", 0]),
+    }
+    models = {}
+    for name, (command, doc, model_name, where) in runs.items():
+        cfg_path = write_config(root, doc, f"{name}.json")
+        assert main([command, "--config", cfg_path, "--out", str(root / name)]) == 0
+        models[name] = (cfg_path, root / name / model_name, where + ["weight", 0, 0])
+    return models
+
+
+@pytest.mark.parametrize("kind", ["cascade", "hybrid", "mlp"])
+@pytest.mark.parametrize(
+    "literal",
+    ["NaN", "Infinity", "-Infinity", "1e999", "-1e999", "1" + "0" * 400],
+    ids=["nan", "inf", "-inf", "1e999", "-1e999", "401-digit-int"],
+)
+def test_eval_refuses_a_model_holding_a_non_finite_number(tmp_path, capsys, trained_models, kind, literal):
+    cfg_path, model_path, where = trained_models[kind]
+    assert main(["eval", "--model", str(model_path), "--config", cfg_path]) == 0
+    capsys.readouterr()
+    doc = json.loads(model_path.read_text())
+    node = doc
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = "@"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc).replace('"@"', literal))
+    assert main(["eval", "--model", str(bad), "--config", cfg_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("model error: ") and captured.err.count("\n") == 1
+    assert str(bad) in captured.err
+
+
+@pytest.mark.parametrize("quad_points", [10**15, 10**400], ids=["1e15", "1e400"])
+def test_eval_model_too_large_to_evaluate_exits_with_2(tmp_path, capsys, quad_points):
+    doc = sal_doc()
+    doc["sal"]["grades"][1].update(tau=0.01, window={"mode": "tau_multiples", "factor": 3}, quad_points=11)
+    cfg_path = write_config(tmp_path, doc)
+    out = tmp_path / "run"
+    assert main(["train-sal", "--config", cfg_path, "--out", str(out)]) == 0
+    capsys.readouterr()
+    model = json.loads((out / "sal_model.json").read_text())
+    # 10**15 quadrature points are beyond any address space, so evaluating
+    # the smoothed grade fails its allocation at once; 10**400 is beyond a double
+    model["grades"][1]["smoothing"]["M"] = quad_points
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(model))
+    assert main(["eval", "--model", str(big), "--config", cfg_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("model error: cannot evaluate the model: ")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["train-sal", "train-ssg", "compare"])
