@@ -120,21 +120,29 @@ def he_init(
 
 
 def loss_and_grads(params: MlpParams, x: np.ndarray, y: np.ndarray):
-    """Sum-of-squares loss and its exact gradients by reverse accumulation."""
+    """Sum-of-squares loss and its exact gradients by reverse accumulation.
+
+    The forward pass is that of MlpParams.forward, and it keeps each layer's
+    activation derivative, computed from the same sines and cosines (or
+    tanh values) as the activation (Activation.value_and_derivative).
+    """
     y = np.asarray(y, dtype=float)
-    pred, pre_acts, acts = params.forward(x)
-    diff = pred - y
+    a = np.asarray(x, dtype=float)
+    acts, derivs = [a], []
+    for w, b, act in zip(params.weights, params.biases, params.activations):
+        a, d = act.value_and_derivative(a @ w.T + b)
+        acts.append(a)
+        derivs.append(d)
+    diff = a - y
     loss = float(np.sum(diff * diff))
-    delta = 2.0 * diff * params.activations[-1].derivative(pre_acts[-1])
+    delta = 2.0 * diff * derivs[-1]
     grads_w = [np.empty(0)] * len(params.weights)
     grads_b = [np.empty(0)] * len(params.biases)
     for i in range(len(params.weights) - 1, -1, -1):
         grads_w[i] = delta.T @ acts[i]
         grads_b[i] = delta.sum(axis=0)
         if i > 0:
-            delta = (delta @ params.weights[i]) * params.activations[i - 1].derivative(
-                pre_acts[i - 1]
-            )
+            delta = (delta @ params.weights[i]) * derivs[i - 1]
     return loss, grads_w, grads_b
 
 

@@ -10,7 +10,7 @@ feed grade k+1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -18,8 +18,12 @@ from . import smoothing
 
 FORMAT_VERSION = 1
 
-# Rows per block of the feature recursion: 16384 rows of width 128 are 16 MB.
-BLOCK_ROWS = 16384
+# Rows per block of the feature recursion: 4096 rows of width 128 are 4 MB.
+BLOCK_ROWS = 4096
+
+# Fewest rows a node plan runs the chain over in one group (see
+# Model._planned_components): a smaller group joins the next deeper one.
+MIN_GROUP_ROWS = 512
 
 # Rows per block of pooling with more than one output: a block's window-major
 # work arrays (the window columns by 512 rows) stay in cache, and no array of
@@ -57,11 +61,32 @@ class Activation:
         if self.kind == "tanh":
             return np.tanh(z)
         if self.kind == "sincos_half":
-            return 0.5 * np.sin(z) + 0.5 * np.cos(z)
+            # 0.5 * sin(z) + 0.5 * cos(z) in place: the same operations, in
+            # two arrays instead of five
+            out = np.sin(z)
+            out *= 0.5
+            half_cos = np.cos(z)
+            half_cos *= 0.5
+            out += half_cos
+            return out
         out = np.zeros_like(np.asarray(z, dtype=float))
         for w, act in zip(self.weights, self.basis):
             out += w * act(z)
         return out
+
+    def value_and_derivative(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(self(z), self.derivative(z)) with the same bits, from one sine and
+        cosine (or tanh) evaluation."""
+        if self.kind == "sincos_half":
+            half_sin = np.sin(z)
+            half_sin *= 0.5
+            half_cos = np.cos(z)
+            half_cos *= 0.5
+            return half_sin + half_cos, half_cos - half_sin
+        if self.kind == "tanh":
+            t = np.tanh(z)
+            return t, 1.0 - t * t
+        return self(z), self.derivative(z)
 
     def derivative(self, z: np.ndarray) -> np.ndarray:
         """Elementwise derivative; ReLU takes subgradient 0 at the kink."""
@@ -380,13 +405,13 @@ class Carry:
 
 
 def _row_blocks(n: int) -> list[slice]:
-    """Near-equal row blocks of at most BLOCK_ROWS rows.
+    """Near-equal row blocks of at most BLOCK_ROWS (4096) rows.
 
-    Splitting evenly keeps every block of a long run above half the limit.
-    That keeps results bit-identical to one full-array pass: OpenBLAS gives
-    a long row block of `a @ w.T` the bits of the full product, but not a
-    short one (at width 100, blocks of 100 rows differ in the last place,
-    blocks of 500 rows and more do not).
+    Splitting evenly keeps every block of a longer run at BLOCK_ROWS // 2
+    (2048) rows or more.  That keeps results bit-identical to one
+    full-array pass: OpenBLAS gives a long row block of `a @ w.T` the bits
+    of the full product, but not a short one (at width 100, blocks of 100
+    rows differ in the last place, blocks of 500 rows and more do not).
     """
     count = max(1, -(-n // BLOCK_ROWS))
     edges = [i * n // count for i in range(count + 1)]
@@ -404,6 +429,40 @@ def _store(
             kept = Carry(depth, np.empty((n, a.shape[1])))
     kept.feats[rows] = a
     return kept
+
+
+class _NodeSet:
+    """One node set of a node plan: its grades, its distinct nodes and
+    their index (smoothing.distinct_nodes), and its grades' values at the
+    nodes computed so far, one chunk per group run: (positions among the
+    points, {grade: values at those points})."""
+
+    def __init__(self, grades: list[int], sm: smoothing.Smoother, xs: np.ndarray):
+        self.grades = grades
+        self.points, self.inv = smoothing.distinct_nodes(sm, xs)
+        self.chunks: list[tuple[np.ndarray, dict[int, np.ndarray]]] = []
+
+    def place(self, where: np.ndarray, group: np.ndarray) -> None:
+        """Point i is union row where[i], which runs in group group[where[i]]."""
+        self.where = where
+        self.order = np.argsort(where, kind="stable")  # the points in union order
+        self.group = group[where[self.order]]
+        self.last = self.group.min()  # groups run deepest first
+
+    def collect(self, d: int, comps: dict[int, np.ndarray]) -> None:
+        """Keep the set's grades' values from group d's run, whose rows
+        hold the set's points of that group in union order."""
+        self.chunks.append((self.order[self.group == d], {k: comps.pop(k) for k in self.grades}))
+
+    def values(self, k: int) -> np.ndarray:
+        """Grade k's values at every point, taken out of the chunks."""
+        pos, first = self.chunks[0]
+        if len(self.chunks) == 1 and np.array_equal(pos, np.arange(len(self.points))):
+            return first.pop(k)
+        vals = np.empty((len(self.points), first[k].shape[1]))
+        for pos, chunk in self.chunks:
+            vals[pos] = chunk.pop(k)
+        return vals
 
 
 @dataclass
@@ -427,6 +486,7 @@ class Model:
         wanted: Sequence[int] = (),
         carry: Carry | None = None,
         keep: int | None = None,
+        select: Mapping[int, np.ndarray] | None = None,
     ) -> tuple[dict[int, np.ndarray], Carry | None]:
         """Raw pooled components of the grades in `wanted` at the rows of points.
 
@@ -436,7 +496,9 @@ class Model:
         points and stands in for them and for the first d grades (points may
         then be None).  With `keep=j` the features N_j come back as a Carry;
         a carry passed in is then consumed, since its array is overwritten
-        when the widths agree.
+        when the widths agree.  `select` maps some grades in `wanted` to a
+        boolean mask over the points: such a grade is pooled, and comes
+        back, at the selected rows only, in order.
         """
         if carry is not None:
             if points is not None and len(points) != len(carry.feats):
@@ -449,7 +511,12 @@ class Model:
         if keep is not None and keep < start:
             raise IndexError(f"cannot keep depth {keep} below the carried depth {start}")
         n = points.shape[0]
-        comps = {k: np.empty((n, self.output_dim)) for k in wanted}
+        select = select or {}
+        comps = {
+            k: np.empty((np.count_nonzero(select[k]) if k in select else n, self.output_dim))
+            for k in wanted
+        }
+        filled = dict.fromkeys(select, 0)
         kept = None
         if keep == start and carry is not None:
             keep, kept = None, carry
@@ -462,7 +529,13 @@ class Model:
                     kept = _store(kept, carry, rows, a, n, keep)
                 g = self.grades[j]
                 pre = a @ g.weight.T + g.bias
-                if j in comps:
+                if j in filled:
+                    sel = select[j][rows]
+                    lo = filled[j]
+                    filled[j] += np.count_nonzero(sel)
+                    if filled[j] > lo:
+                        comps[j][lo : filled[j]] = g.pooling.apply(pre[sel])
+                elif j in comps:
                     comps[j][rows] = g.pooling.apply(pre)
                 if j + 1 < stop or keep == stop:
                     a = g.activation(pre)
@@ -517,17 +590,79 @@ class Model:
         return out, ran["carry"]
 
     def _components(self, x: np.ndarray, ks: Sequence[int]) -> dict[int, np.ndarray]:
-        """Components of grades ks at the rows of x, one chain run per node set."""
-        groups: dict[Any, list[int]] = {}
+        """Components of grades ks at the rows of x: one chain run at x for
+        the unsmoothed grades, and one node plan for the smoothed ones."""
+        plain = [k for k in ks if self.grades[k].smoother is None]
+        out = self.run_chain(x, plain)[0]
+        smoothed = [k for k in ks if k not in out]
+        if smoothed:
+            out.update(self._planned_components(x, smoothed))
+        return out
+
+    def _planned_components(self, x: np.ndarray, ks: Sequence[int]) -> dict[int, np.ndarray]:
+        """Smoothed components of grades ks at the rows of x, from one node
+        plan across their node sets.
+
+        The distinct nodes of every node set (smoothing.distinct_nodes) form
+        one union, and each union node joins the group of the deepest grade
+        whose node set holds it.  A group of fewer than MIN_GROUP_ROWS rows
+        joins the next deeper group instead, since OpenBLAS may give a short
+        product other bits than a long one.  One chain run per group,
+        deepest group first, evaluates its nodes once and pools every grade
+        at the nodes of that grade's set.  A grade is contracted
+        (smoothing.contract) right after the last group holding its nodes
+        has run, and its node values are dropped; until then only the rows
+        computed so far are kept.  With a single node set the union is that
+        set, in its own order, and its one group runs the chain over every
+        node with no row selection.  The renormalized form's values at x
+        come from a chain run of their own.
+        """
+        if self.input_dim != 1:
+            raise ValueError("smoothing supports 1-D input only")
+        xs = x[:, 0]
+        by_key: dict[Any, list[int]] = {}
         for k in ks:
-            sm = self.grades[k].smoother
-            groups.setdefault(None if sm is None else smoothing.node_key(sm), []).append(k)
-        out = {}
-        for key, group in groups.items():
-            if key is None:
-                out.update(self.run_chain(x, group)[0])
-            else:
-                out.update(self.smoothed_components(group, x)[0])
+            by_key.setdefault(smoothing.node_key(self.grades[k].smoother), []).append(k)
+        sets = [_NodeSet(grades, self.grades[grades[0]].smoother, xs) for grades in by_key.values()]
+        if len(sets) == 1:
+            union = sets[0].points
+            wheres = [np.arange(len(union))]
+        else:
+            keys = np.unique(np.concatenate([s.points.view(np.int64) for s in sets]))
+            union = keys.view(float)
+            wheres = [np.searchsorted(keys, s.points.view(np.int64)) for s in sets]
+        group = np.zeros(len(union), dtype=np.intp)
+        for s, where in zip(sets, wheres):
+            group[where] = np.maximum(group[where], s.grades[-1])
+        levels = np.unique(group)
+        for lo, hi in zip(levels, levels[1:]):
+            rows = group == lo
+            if np.count_nonzero(rows) < MIN_GROUP_ROWS:
+                group[rows] = hi
+        for s, where in zip(sets, wheres):
+            s.place(where, group)
+        levels = np.unique(group)[::-1]
+        out: dict[int, np.ndarray] = {}
+        for d in levels:
+            rows = slice(None) if len(levels) == 1 else np.flatnonzero(group == d)
+            present = [s for s in sets if d in s.group]
+            wanted, select = [], {}
+            for s in present:
+                wanted += s.grades
+                if len(sets) > 1:
+                    mask = np.zeros(len(union), dtype=bool)
+                    mask[s.where] = True
+                    if not mask[rows].all():
+                        select.update(dict.fromkeys(s.grades, mask[rows]))
+            comps = self.run_chain(union[rows][:, None], wanted, select=select)[0]
+            for s in present:
+                s.collect(d, comps)
+                if s.last == d:
+                    for k in s.grades:
+                        sm = self.grades[k].smoother
+                        base = self.run_chain(x, [k])[0][k] if sm.renormalize else None
+                        out[k] = smoothing.contract(sm, xs, s.values(k), s.inv, base)
+                    s.chunks.clear()
         return out
 
     def component_values(self, k: int, x: np.ndarray) -> np.ndarray:
@@ -538,9 +673,12 @@ class Model:
         """The running prediction at the rows of x: the head's (when there is
         one), then the sum after each grade, in grade order.
 
-        Every grade's component is evaluated up front, with one chain run per
-        node set and no features kept; the sums are then formed one grade at
-        a time, so only the latest needs to stay alive.
+        Every grade's component is evaluated up front, with no features
+        kept: the unsmoothed grades by one chain run at x, the smoothed ones
+        by one node plan across their node sets, which evaluates each
+        distinct node once, to the deepest grade that needs it (see
+        _planned_components).  The sums are then formed one grade at a
+        time, so only the latest needs to stay alive.
         """
         x = self._check_input(x)
         if self.head is not None:

@@ -143,41 +143,71 @@ def smooth_at(f: Callable[[np.ndarray], np.ndarray], sm: Smoother, x: float) -> 
     return base + weights @ (vals - base)
 
 
+def distinct_nodes(sm: Smoother, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The points smooth_fn_grid evaluates f at, and where each node's value
+    sits among them.
+
+    The points are the distinct nodes around xs, keyed by bit pattern (so
+    -0.0 and +0.0 stay apart), in ascending key order, with each node's
+    index into them in point-major node order.  A node set with no repeats
+    is returned whole, in that order, with index None.
+    """
+    nodes = quadrature_nodes(sm, xs)
+    keys, inv = np.unique(nodes.view(np.int64), return_inverse=True)
+    if keys.size == nodes.size:
+        return nodes, None
+    return keys.view(float), inv
+
+
+def contract(
+    sm: Smoother,
+    xs: np.ndarray,
+    vals: np.ndarray,
+    inv: np.ndarray | None,
+    base: np.ndarray | None = None,
+) -> np.ndarray:
+    """The smoothed values at xs from vals, the (points, t) values at the
+    points distinct_nodes(sm, xs) returned with index inv, and, for the
+    renormalized form, base, the (n, t) values at xs themselves.
+
+    The values are gathered into the offset-major (M, n, t) operand of the
+    contraction.  At t = 1 that operand stays a transposed view of the
+    point-major values, the layout a plain evaluation of every node
+    contracts, since BLAS takes a different path (and may give different
+    bits) for a contiguous one.
+    """
+    _, weights = quadrature(sm)
+    n, m = xs.size, weights.size
+    vals = np.asarray(vals, dtype=float).reshape(len(vals), -1)
+    if inv is None:
+        vals = vals.reshape(n, m, -1).transpose(1, 0, 2)
+    elif vals.shape[1] == 1:
+        vals = vals[inv].reshape(n, m, 1).transpose(1, 0, 2)
+    else:
+        vals = vals[inv.reshape(n, m).T]
+    if base is None:
+        return np.tensordot(weights, vals, axes=1)
+    base = np.asarray(base, dtype=float).reshape(n, -1)
+    return base + np.tensordot(weights, vals - base, axes=1)
+
+
 def smooth_fn_grid(
     f: Callable[[np.ndarray], np.ndarray], sm: Smoother, xs: np.ndarray
 ) -> np.ndarray:
     """Vectorized smooth_at over many query points (offsets are x-independent).
 
-    f is called once on the distinct nodes (keyed by bit pattern, so -0.0
-    and +0.0 stay apart; a node set with no repeats is passed whole), and
-    the renormalized form calls it once more on xs itself.  Its values are
-    gathered into the offset-major (M, n, t) operand of the contraction.
-    At t = 1 that operand stays a transposed view of the point-major
-    values, the layout a plain evaluation of every node contracts, since
-    BLAS takes a different path (and may give different bits) for a
-    contiguous one.
+    f is called once on the distinct nodes (see distinct_nodes), and the
+    renormalized form calls it once more on xs itself; contract then
+    weights the values.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1:
         raise ValueError("query points must be a 1-D array")
-    offsets, weights = quadrature(sm)
-    n, m = xs.size, offsets.size
-    nodes = quadrature_nodes(sm, xs)
-    keys, inv = np.unique(nodes.view(np.int64), return_inverse=True)
-    if keys.size == nodes.size:
-        del keys, inv
-        vals = np.asarray(f(nodes), dtype=float).reshape(n, m, -1).transpose(1, 0, 2)
-    else:
-        del nodes
-        vals = np.asarray(f(keys.view(float)), dtype=float).reshape(keys.size, -1)
-        if vals.shape[1] == 1:
-            vals = vals[inv].reshape(n, m, 1).transpose(1, 0, 2)
-        else:
-            vals = vals[inv.reshape(n, m).T]
-    if not sm.renormalize:
-        return np.tensordot(weights, vals, axes=1)
-    base = np.asarray(f(xs), dtype=float).reshape(n, -1)
-    return base + np.tensordot(weights, vals - base, axes=1)
+    points, inv = distinct_nodes(sm, xs)
+    vals = f(points)
+    del points
+    base = f(xs) if sm.renormalize else None
+    return contract(sm, xs, vals, inv, base)
 
 
 def smooth_grid(values: np.ndarray, sm: Smoother, grid: np.ndarray) -> np.ndarray:

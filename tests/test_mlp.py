@@ -5,7 +5,7 @@ import pytest
 
 from sal_learn import mlp
 from sal_learn.data import Dataset
-from sal_learn.model import IDENTITY, RELU, SINCOS_HALF, Activation
+from sal_learn.model import IDENTITY, RELU, SINCOS_HALF, TANH, Activation
 from sal_learn.rng import SplitMix64
 from sal_learn.train import rse
 
@@ -69,6 +69,44 @@ def test_loss_and_grads_hand_example():
     assert loss == pytest.approx(1.0)
     assert gw[0][0, 0] == pytest.approx(2.0)
     assert gb[0][0] == pytest.approx(2.0)
+
+
+def _loss_and_grads_recomputing(params, x, y):
+    """loss_and_grads as it was before the forward pass kept the
+    derivatives: each derivative recomputed from the stored pre-activations."""
+    y = np.asarray(y, dtype=float)
+    pred, pre_acts, acts = params.forward(x)
+    diff = pred - y
+    loss = float(np.sum(diff * diff))
+    delta = 2.0 * diff * params.activations[-1].derivative(pre_acts[-1])
+    grads_w = [np.empty(0)] * len(params.weights)
+    grads_b = [np.empty(0)] * len(params.biases)
+    for i in range(len(params.weights) - 1, -1, -1):
+        grads_w[i] = delta.T @ acts[i]
+        grads_b[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ params.weights[i]) * params.activations[i - 1].derivative(pre_acts[i - 1])
+    return loss, grads_w, grads_b
+
+
+def test_training_weights_equal_those_of_recomputed_derivatives(monkeypatch):
+    # sincos_half and tanh layers take their derivatives from the forward
+    # pass's sin/cos and tanh values; 300 Adam epochs must give the same bytes
+    x = np.linspace(-1.0, 1.0, 257)[:, None]
+    ds = Dataset(x, np.column_stack([np.sin(4.0 * x[:, 0]), np.abs(x[:, 0])]), "train_grid", -1.0, 1.0)
+    cfg = mlp.MlpTrainConfig(
+        widths=[20, 20, 20], activations=[SINCOS_HALF, SINCOS_HALF, TANH], epochs=300, epsilon=0.0, seed=5
+    )
+
+    def run():
+        params, report = mlp.train_ssg(ds, cfg)
+        assert report.metadata["epochs_run"] == 300
+        losses = [row[2] for row in report.trace]
+        return [a.tobytes() for a in params.weights + params.biases], losses
+
+    shipped = run()
+    monkeypatch.setattr(mlp, "loss_and_grads", _loss_and_grads_recomputing)
+    assert run() == shipped
 
 
 def test_gradients_match_central_differences():

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from sal_learn import mlp, smoothing
 from sal_learn.rng import SplitMix64
 from sal_learn.model import (
     BLOCK_ROWS,
+    MIN_GROUP_ROWS,
     Carry,
     IDENTITY,
     RELU,
@@ -21,6 +23,7 @@ from sal_learn.model import (
     Pooling,
     combination,
     inner_product,
+    _row_blocks,
     leaky_relu,
     model_from_dict,
     model_to_dict,
@@ -340,6 +343,20 @@ def test_activation_derivatives():
     assert np.allclose(leaky_relu(0.1).derivative(x), [0.1, 1.0, 1.0])
 
 
+@pytest.mark.parametrize(
+    "act",
+    [IDENTITY, RELU, TANH, SINCOS_HALF, leaky_relu(0.1), combination([0.7, -0.4], [SINCOS_HALF, TANH])],
+)
+def test_value_and_derivative_have_the_bits_of_each_call(act):
+    z = np.random.default_rng(2).standard_normal((300, 7)) * 4.0
+    z[0, :3] = [0.0, -0.0, np.pi]
+    value, deriv = act.value_and_derivative(z)
+    assert value.tobytes() == act(z).tobytes()
+    assert deriv.tobytes() == act.derivative(z).tobytes()
+    # sincos_half is evaluated in place, with the bits of the five-array form
+    assert SINCOS_HALF(z).tobytes() == (0.5 * np.sin(z) + 0.5 * np.cos(z)).tobytes()
+
+
 def test_combination_weighted_sum():
     combo = combination(np.array([0.25, 0.75]), [RELU, IDENTITY])
     got = combo(np.array([-4.0]))
@@ -513,6 +530,148 @@ def test_distinct_node_evaluation_matches_reference(t, sm, x, distinct):
     comp = ref.component(model, 1, x)
     assert np.array_equal(model.component_values(1, x), comp)
     assert np.array_equal(model.predict(x), ref.component(model, 0, x) + comp)
+
+
+@pytest.mark.parametrize("n", [BLOCK_ROWS + 1, 2 * BLOCK_ROWS - 1, 2 * BLOCK_ROWS + 1, 7 * BLOCK_ROWS + 3, 100_000])
+def test_row_blocks_stay_long(n):
+    blocks = _row_blocks(n)
+    assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]] and blocks[-1].stop == n
+    assert all(BLOCK_ROWS // 2 <= b.stop - b.start <= BLOCK_ROWS for b in blocks)
+
+
+@pytest.mark.parametrize("width", [100, 128])
+def test_blocked_product_has_the_bits_of_the_full_product(width):
+    rng = np.random.default_rng(width)
+    a = rng.standard_normal((3 * BLOCK_ROWS + 5, width))
+    w = rng.standard_normal((width, width))
+    full = a @ w.T
+    blocks = _row_blocks(len(a))
+    assert len(blocks) == 4
+    for rows in blocks:
+        assert np.array_equal(a[rows] @ w.T, full[rows])
+
+
+def _planned_model(t, smoothers, head=None, width=100, seed=7):
+    """Grades of width `width`: a plain sincos_half grade, then one grade
+    per entry of smoothers (None for a plain grade)."""
+    rng = np.random.default_rng(seed)
+    model = Model(1, t, head=head)
+    prev = 1 if head is None else head.weights[-2].shape[0]
+    acts = [RELU, TANH, combination([0.7, 0.4], [RELU, SINCOS_HALF])]
+    for k, sm in enumerate([None] + list(smoothers)):
+        model.grades.append(
+            Grade(
+                weight=rng.standard_normal((width, prev)) / np.sqrt(prev),
+                bias=rng.standard_normal(width),
+                pooling=Pooling(t, width - t),
+                activation=SINCOS_HALF if k == 0 else acts[k % 3],
+                smoother=sm,
+            )
+        )
+        prev = width
+    return model
+
+
+def _assert_stages_match_reference(model, x):
+    expected = model.head.predict(x) if model.head is not None else np.zeros((len(x), model.output_dim))
+    stages = list(model.staged_predict(x))
+    if model.head is not None:
+        assert np.array_equal(stages.pop(0), expected)
+    assert len(stages) == len(model.grades)
+    for k, stage in enumerate(stages):
+        expected = expected + ref.component(model, k, x)
+        assert np.array_equal(stage, expected)
+    assert np.array_equal(model.predict(x), expected)
+
+
+def _distinct_keys(model, x):
+    return [
+        np.unique(smoothing.quadrature_nodes(g.smoother, x[:, 0]).view(np.int64))
+        for g in model.grades
+        if g.smoother is not None
+    ]
+
+
+def _dyadic(count, quad_points, renormalize=False):
+    # half-width count/128 over quad_points nodes: on a grid of multiples
+    # of 1/128 every node is a short dyadic fraction, so nodes of different
+    # sets coincide exactly where their values agree
+    return smoothing.Smoother(0.05, smoothing.GridSteps(count, 2.0**-7), quad_points, renormalize)
+
+
+@pytest.mark.parametrize(
+    "t, renormalize, hybrid", [(1, False, False), (20, True, False), (1, True, True), (20, False, True)]
+)
+def test_node_plan_on_a_commensurate_grid_matches_reference(t, renormalize, hybrid):
+    # three node sets on a dyadic grid, a plain grade between them.  The
+    # coarse set (the deepest) lies in the wide one, and the wide set's
+    # nodes but 32 lie in the narrow one.  So the plan runs the coarse
+    # set's 863 nodes, pooling all three grades at the ones in their sets,
+    # then the narrow set's other 832 nodes together with the one wide
+    # node left, a group too short to run alone
+    head = mlp.he_init(1, [5, 6], t, [TANH, RELU], SplitMix64(4)) if hybrid else None
+    wide, narrow, coarse = _dyadic(32, 64, renormalize), _dyadic(16, 64), _dyadic(32, 32)
+    model = _planned_model(t, [wide, None, narrow, coarse], head)
+    x = (np.arange(0, 801) / 128.0)[:, None]
+    keys = _distinct_keys(model, x)
+    assert [k.size for k in keys] == [864, 1664, 863]
+    assert np.unique(np.concatenate(keys)).size == 1696
+    _assert_stages_match_reference(model, x)
+
+
+@pytest.mark.parametrize("t", [1, 20])
+def test_node_plan_on_random_points_matches_reference(t):
+    # tau_multiples sets whose node spacings are multiples of each other
+    # share part of their nodes around random points too
+    sets = [_tau_multiples(tau) for tau in (0.004, 0.002, 0.001)]
+    model = _planned_model(t, [sets[0], sets[1], None, sets[2], sets[1]], width=128)
+    x = np.random.default_rng(11).uniform(0.0, 1.0, (90, 1))
+    keys = _distinct_keys(model, x)
+    assert np.unique(np.concatenate(keys)).size < sum(k.size for k in keys[:3]) - 1000
+    _assert_stages_match_reference(model, x)
+
+
+@pytest.mark.parametrize("t", [1, 20])
+def test_short_node_group_runs_with_the_next_deeper_group(t, monkeypatch):
+    # the wide set's nodes not in the narrow set, 16 beyond each end of the
+    # grid, would form a group of 32 rows; they run with the narrow set's
+    # 864 nodes instead, as one chain run of 896 rows
+    model = _planned_model(t, [_dyadic(32, 64), _dyadic(16, 64)])
+    x = (np.arange(0, 401) / 128.0)[:, None]
+    wide, narrow = _distinct_keys(model, x)
+    assert narrow.size == 864 and np.setdiff1d(wide, narrow).size == 32 < MIN_GROUP_ROWS
+    runs = []
+    run_chain = Model.run_chain
+
+    def recording_chain(self, points, wanted=(), *args, **kwargs):
+        runs.append((len(points), sorted(wanted)))
+        return run_chain(self, points, wanted, *args, **kwargs)
+
+    monkeypatch.setattr(Model, "run_chain", recording_chain)
+    _assert_stages_match_reference(model, x)
+    assert runs[:2] == [(len(x), [0]), (896, [1, 2])]
+
+
+def test_node_plan_peak_memory_stays_below_all_node_values():
+    # six node sets of 20000 random-point nodes each, 73769 distinct in
+    # all: each grade's node values are contracted and dropped after the
+    # last group holding its nodes, so the plan never holds them all
+    sets = [_tau_multiples(tau) for tau in (0.01, 0.008, 0.006, 0.005, 0.004, 0.003)]
+    model = _planned_model(40, sets, width=44)
+    x = np.random.default_rng(5).uniform(0.0, 1.0, (100, 1))
+    keys = _distinct_keys(model, x)
+    assert np.unique(np.concatenate(keys)).size == 73769
+    all_values = sum(k.size for k in keys) * 40 * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        for _ in model.staged_predict(x):
+            pass
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < all_values
 
 
 def test_carry_must_cover_the_points():

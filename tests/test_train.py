@@ -343,38 +343,49 @@ def test_rse_test_is_that_of_the_running_predict_path_sum(hybrid):
     assert [r.rse_train for r in untracked.records] == [r.rse_train for r in report.records]
 
 
-def test_test_set_runs_one_chain_per_node_set_after_training(monkeypatch):
-    # train and test point counts, and their distinct node counts, all differ,
-    # so each chain run's row count says which point set it served
+def test_test_set_runs_each_union_node_once_at_its_deepest_grade_after_training(monkeypatch):
+    # grades[1:3] share one node set and grades[3] has its own; the test set
+    # is scored by one chain run at the test points for the plain grades
+    # and one per group of the union of both node sets, in which each node
+    # is evaluated once, to the deepest grade whose set holds it
     ds = make_train(target_nondiff(), -1.0, 1.0, 0.0, 61)
     test = make_test(target_nondiff(), -1.0, 1.0, 37, seed=6)
     grades = _two_node_set_grades()
-    test_rows = {len(test.inputs): [0, 4]}
+    deepest = {}
     for ks in ([1, 2], [3]):
         sm = smoothing.Smoother(grades[ks[0]].tau, grades[ks[0]].window, grades[ks[0]].quad_points)
-        nodes = smoothing.quadrature_nodes(sm, test.inputs[:, 0])
-        test_rows[np.unique(nodes.view(np.int64)).size] = ks
-    assert len(test_rows) == 3 and len(ds.inputs) not in test_rows
+        for key in smoothing.quadrature_nodes(sm, test.inputs[:, 0]).view(np.int64).tolist():
+            deepest[key] = max(deepest.get(key, 0), ks[-1])
+    test_keys = set(deepest) | set(test.inputs[:, 0].view(np.int64).tolist())
     events = []
     run_chain, train_grade = Model.run_chain, train_mod.train_grade
 
-    def recording_chain(self, points, wanted=(), carry=None, keep=None):
-        rows = len(carry.feats) if carry is not None else len(points)
-        events.append(("chain", rows, sorted(wanted), carry is not None, keep))
-        return run_chain(self, points, wanted, carry, keep)
+    def recording_chain(self, points, wanted=(), carry=None, keep=None, select=None):
+        keys = None if carry is not None else points[:, 0].view(np.int64).tolist()
+        events.append(("chain", keys, sorted(wanted), keep))
+        return run_chain(self, points, wanted, carry, keep, select)
 
     def recording_grade(*args, **kwargs):
-        events.append(("grade",))
-        return train_grade(*args, **kwargs)
+        result = train_grade(*args, **kwargs)
+        events.append(("grade",))  # when the grade has finished
+        return result
 
     monkeypatch.setattr(Model, "run_chain", recording_chain)
     monkeypatch.setattr(train_mod, "train_grade", recording_grade)
     train_sal(ds, TrainConfig(grades), test=test)
     last_grade = max(i for i, e in enumerate(events) if e[0] == "grade")
     assert [e[0] for e in events].count("grade") == len(grades)
-    test_runs = [(i, e) for i, e in enumerate(events) if e[0] == "chain" and e[1] in test_rows]
-    assert [e for _, e in test_runs] == [("chain", rows, ks, False, None) for rows, ks in test_rows.items()]
-    assert all(i > last_grade for i, _ in test_runs)
+    test_runs = [
+        (i, e) for i, e in enumerate(events) if e[0] == "chain" and e[1] is not None and set(e[1]) <= test_keys
+    ]
+    assert [i for i, _ in test_runs] == list(range(last_grade + 1, len(events)))
+    runs = [e[1:] for _, e in test_runs]
+    assert runs[0] == (test.inputs[:, 0].view(np.int64).tolist(), [0, 4], None)
+    evaluated = [key for keys, _, _ in runs[1:] for key in keys]
+    assert sorted(evaluated) == sorted(deepest)
+    for keys, wanted, keep in runs[1:]:
+        assert keep is None and {deepest[key] for key in keys} == {max(wanted)}
+    assert [max(wanted) for _, wanted, _ in runs[1:]] == [3, 2]
 
 
 def test_carry_at_distinct_nodes_matches_reference_chain():
