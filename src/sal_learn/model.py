@@ -18,7 +18,9 @@ from . import smoothing
 
 FORMAT_VERSION = 1
 
-# Rows per block of the feature recursion: 4096 rows of width 128 are 4 MB.
+# Rows per block of the feature recursion: 4096 rows of width 128 are 4 MB,
+# the size of each of the two work arrays per width that Model.run_chain
+# reuses for every block.
 BLOCK_ROWS = 4096
 
 # Fewest rows a node plan runs the chain over in one group (see
@@ -72,6 +74,26 @@ class Activation:
         out = np.zeros_like(np.asarray(z, dtype=float))
         for w, act in zip(self.weights, self.basis):
             out += w * act(z)
+        return out
+
+    def into(self, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """self(z) written into out (a float array of z's shape, not z
+        itself), by the operations of __call__, so with the same bits.
+
+        sincos_half overwrites z: its cosine is computed in place over z.
+        """
+        if self.kind == "relu":
+            return np.maximum(z, 0.0, out=out)
+        if self.kind == "tanh":
+            return np.tanh(z, out=out)
+        if self.kind == "sincos_half":
+            np.sin(z, out=out)
+            out *= 0.5
+            half_cos = np.cos(z, out=z)
+            half_cos *= 0.5
+            out += half_cos
+            return out
+        np.copyto(out, self(z))
         return out
 
     def value_and_derivative(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -418,17 +440,14 @@ def _row_blocks(n: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
-def _store(
-    kept: Carry | None, carry: Carry | None, rows: slice, a: np.ndarray, n: int, depth: int
-) -> Carry:
-    """Write one row block of N_depth, reusing the consumed carry's array when it fits."""
-    if kept is None:
-        if carry is not None and carry.feats.shape[1] == a.shape[1]:
-            kept = Carry(depth, carry.feats)
-        else:
-            kept = Carry(depth, np.empty((n, a.shape[1])))
-    kept.feats[rows] = a
-    return kept
+def _kept(kept: Carry | None, carry: Carry | None, n: int, width: int, depth: int) -> Carry:
+    """The Carry that N_depth is written into, made on first use, with the
+    consumed carry's array when its width fits."""
+    if kept is not None:
+        return kept
+    if carry is not None and carry.feats.shape[1] == width:
+        return Carry(depth, carry.feats)
+    return Carry(depth, np.empty((n, width)))
 
 
 class _NodeSet:
@@ -499,6 +518,17 @@ class Model:
         when the widths agree.  `select` maps some grades in `wanted` to a
         boolean mask over the points: such a grade is pooled, and comes
         back, at the selected rows only, in order.
+
+        The call makes two work arrays per grade width, as long as the
+        longest block, and every block and grade reuses them: the affine
+        image goes into the first (np.matmul with out=, then += bias, as
+        qp.residual computes it); a selected grade's rows are compressed
+        into the second and pooled from there; the activation is then
+        written into the second (Activation.into), or, when it is N_keep,
+        straight into the block's rows of the kept features.  No array of
+        a block's size is made per block, so none is returned to the kernel
+        and faulted back in, and the operations, hence the bits, are those
+        of evaluating each block into fresh arrays.
         """
         if carry is not None:
             if points is not None and len(points) != len(carry.feats):
@@ -520,27 +550,38 @@ class Model:
         kept = None
         if keep == start and carry is not None:
             keep, kept = None, carry
-        for rows in _row_blocks(n):
+        blocks = _row_blocks(n)
+        longest = max(b.stop - b.start for b in blocks)
+        work = {
+            w: (np.empty((longest, w)), np.empty((longest, w)))
+            for w in {g.width for g in self.grades[start:stop]}
+        }
+        for rows in blocks:
             a = points[rows]
             if carry is None and self.head is not None:
                 a = self.head.hidden(a)
+            if keep == start:
+                kept = _kept(kept, carry, n, a.shape[1], keep)
+                kept.feats[rows] = a
             for j in range(start, stop):
-                if j == keep:
-                    kept = _store(kept, carry, rows, a, n, keep)
                 g = self.grades[j]
-                pre = a @ g.weight.T + g.bias
+                pre_buf, act_buf = work[g.width]
+                pre = np.matmul(a, g.weight.T, out=pre_buf[: len(a)])
+                pre += g.bias
                 if j in filled:
                     sel = select[j][rows]
                     lo = filled[j]
                     filled[j] += np.count_nonzero(sel)
                     if filled[j] > lo:
-                        comps[j][lo : filled[j]] = g.pooling.apply(pre[sel])
+                        picked = np.compress(sel, pre, axis=0, out=act_buf[: filled[j] - lo])
+                        comps[j][lo : filled[j]] = g.pooling.apply(picked)
                 elif j in comps:
                     comps[j][rows] = g.pooling.apply(pre)
-                if j + 1 < stop or keep == stop:
-                    a = g.activation(pre)
-            if keep == stop:
-                kept = _store(kept, carry, rows, a, n, keep)
+                if j + 1 == keep:
+                    kept = _kept(kept, carry, n, g.width, keep)
+                    a = g.activation.into(pre, kept.feats[rows])
+                elif j + 1 < stop:
+                    a = g.activation.into(pre, act_buf[: len(pre)])
         return comps, kept
 
     def features(self, x: np.ndarray, upto: int | None = None) -> np.ndarray:

@@ -12,12 +12,16 @@ import numpy as np
 from sal_learn import smoothing
 
 
-def raw_component(model, k, points):
+def features(model, j, points):
     a = model.head.hidden(points) if model.head is not None else points
-    for g in model.grades[:k]:
+    for g in model.grades[:j]:
         a = g.activation(a @ g.weight.T + g.bias)
+    return a
+
+
+def raw_component(model, k, points):
     g = model.grades[k]
-    return g.pooling.apply(a @ g.weight.T + g.bias)
+    return g.pooling.apply(features(model, k, points) @ g.weight.T + g.bias)
 
 
 def component(model, k, x):

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -357,6 +361,26 @@ def test_value_and_derivative_have_the_bits_of_each_call(act):
     assert SINCOS_HALF(z).tobytes() == (0.5 * np.sin(z) + 0.5 * np.cos(z)).tobytes()
 
 
+@pytest.mark.parametrize(
+    "act",
+    [IDENTITY, RELU, leaky_relu(0.1), TANH, SINCOS_HALF, combination([0.7, -0.4, 0.2], [SINCOS_HALF, TANH, IDENTITY])],
+)
+def test_activation_into_has_the_bits_of_the_call(act):
+    rng = np.random.default_rng(6)
+    z = rng.uniform(-1e6, 1e6, (60, 7))
+    z[30:] = rng.standard_normal((30, 7)) * 4.0
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, np.pi, -np.pi, 5e-324, -5e-324, -1e-310, 1e6, -1e6]
+    z.flat[: len(special)] = special
+    with np.errstate(invalid="ignore"):
+        expected = act(z)
+        arg, out = z.copy(), np.full_like(z, 7.0)
+        got = act.into(arg, out)
+    assert got is out and not np.shares_memory(got, arg)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    if act.kind != "sincos_half":  # the one form documented to overwrite z
+        assert np.array_equal(arg.view(np.int64), z.view(np.int64))
+
+
 def test_combination_weighted_sum():
     combo = combination(np.array([0.25, 0.75]), [RELU, IDENTITY])
     got = combo(np.array([-4.0]))
@@ -672,6 +696,83 @@ def test_node_plan_peak_memory_stays_below_all_node_values():
     finally:
         tracemalloc.stop()
     assert peak < all_values
+
+
+@pytest.mark.parametrize("hybrid", [False, True])
+def test_chain_work_arrays_keep_the_reference_bits(hybrid):
+    # the chain reuses two work arrays per width over every block and grade:
+    # widths 100 -> 120 -> 100, an uneven last block, a select mask that
+    # leaves some blocks without rows, and a consumed carry kept at its width
+    rng = np.random.default_rng(12)
+    head = mlp.he_init(1, [5, 6], 2, [TANH, RELU], SplitMix64(4)) if hybrid else None
+    model = Model(1, 2, head=head)
+    prev = 1 if head is None else head.weights[-2].shape[0]
+    for width, act in [(100, SINCOS_HALF), (120, IDENTITY), (100, leaky_relu(0.1)), (100, TANH)]:
+        model.grades.append(
+            Grade(
+                weight=rng.standard_normal((width, prev)) / np.sqrt(prev),
+                bias=rng.standard_normal(width),
+                pooling=Pooling(2, width - 2),
+                activation=act,
+            )
+        )
+        prev = width
+    n = 4 * BLOCK_ROWS + 3
+    blocks = _row_blocks(n)
+    sizes = [b.stop - b.start for b in blocks]
+    assert len(blocks) > 3 and len(set(sizes)) > 1
+    points = np.linspace(-1.0, 1.0, n)[:, None]
+    mask = np.zeros(n, dtype=bool)
+    mask[blocks[1]] = rng.random(sizes[1]) < 0.5
+    mask[blocks[3].start : blocks[3].start + 600] = True
+    comps, kept = model.run_chain(points, [0, 1, 2, 3], keep=2, select={2: mask})
+    for k in (0, 1, 3):
+        assert np.array_equal(comps[k], ref.raw_component(model, k, points))
+    assert np.array_equal(comps[2], ref.raw_component(model, 2, points[mask]))
+    assert kept.depth == 2 and np.array_equal(kept.feats, ref.features(model, 2, points))
+    comps, kept = model.run_chain(points, [1], keep=0)
+    assert kept.depth == 0 and np.array_equal(kept.feats, ref.features(model, 0, points))
+    assert np.array_equal(comps[1], ref.raw_component(model, 1, points))
+    carry = Carry(1, ref.features(model, 1, points).copy())
+    comps, kept = model.run_chain(None, [1, 2], carry, keep=3)
+    assert kept.feats is carry.feats and kept.depth == 3
+    assert np.array_equal(kept.feats, ref.features(model, 3, points))
+    for k in (1, 2):
+        assert np.array_equal(comps[k], ref.raw_component(model, k, points))
+
+
+_FAULT_PROBE = """
+import resource
+import numpy as np
+from sal_learn.model import BLOCK_ROWS, RELU, SINCOS_HALF, TANH, Grade, Model, Pooling, _row_blocks
+rng = np.random.default_rng(1)
+model = Model(1, 1)
+prev = 1
+for act in (SINCOS_HALF, RELU, TANH):
+    w = rng.standard_normal((128, prev)) / np.sqrt(prev)
+    model.grades.append(Grade(w, rng.standard_normal(128), Pooling(1, 127), act))
+    prev = 128
+points = np.linspace(-1.0, 1.0, 16 * BLOCK_ROWS)[:, None]
+assert len(_row_blocks(len(points))) == 16
+model.run_chain(points, [0, 1, 2])
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+model.run_chain(points, [0, 1, 2])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor page faults")
+def test_second_chain_run_takes_few_page_faults():
+    # fresh arrays per row block are returned to the kernel and faulted back
+    # in: about 17,000 faults with glibc on a 2-core x86-64 box, against
+    # about 1,400 with two reused work arrays per width.  glibc's allocation
+    # thresholds move with what a process has freed before, so the count is
+    # taken in a fresh interpreter
+    src = str(Path(smoothing.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) < 4096
 
 
 def test_carry_must_cover_the_points():
