@@ -513,11 +513,13 @@ class Model:
         BLOCK_ROWS rows, so only one block's features are alive at a time, and
         each grade it passes is evaluated once.  `carry` holds N_d at the
         points and stands in for them and for the first d grades (points may
-        then be None).  With `keep=j` the features N_j come back as a Carry;
-        a carry passed in is then consumed, since its array is overwritten
-        when the widths agree.  `select` maps some grades in `wanted` to a
-        boolean mask over the points: such a grade is pooled, and comes
-        back, at the selected rows only, in order.
+        then be None); training carries N_d at its points x and, through the
+        node plan, at a node set's distinct nodes.  With `keep=j` the
+        features N_j come back as a Carry; a carry passed in is then
+        consumed, since its array is overwritten when the widths agree.
+        `select` maps some grades in `wanted` to a boolean mask over the
+        points: such a grade is pooled, and comes back, at the selected rows
+        only, in order.
 
         The call makes two work arrays per grade width, as long as the
         longest block, and every block and grade reuses them: the affine
@@ -597,81 +599,70 @@ class Model:
             raise IndexError(f"feature depth {upto} out of range")
         return self.run_chain(x, keep=upto)[1].feats
 
-    def smoothed_components(
-        self,
-        ks: Sequence[int],
-        x: np.ndarray,
-        carry: Carry | None = None,
-        keep: int | None = None,
-    ) -> tuple[dict[int, np.ndarray], Carry | None]:
-        """Smoothed components of grades ks, which share one node set, at the
-        rows of x.
-
-        The chain runs once at the distinct quadrature nodes, when the first
-        grade's quadrature asks for its values (see run_chain for `carry` and
-        `keep`, which refer to those nodes); each grade's quadrature then
-        weights its own raw values.
-        """
-        if self.input_dim != 1:
-            raise ValueError("smoothing supports 1-D input only")
-        xs = x[:, 0]
-        ran: dict[str, Any] = {}
-
-        def raw(points: np.ndarray, k: int) -> np.ndarray:
-            if points is xs:
-                return self.run_chain(points[:, None], [k])[0][k]  # renormalizing base
-            if not ran:
-                ran["comps"], ran["carry"] = self.run_chain(points[:, None], ks, carry, keep)
-            return ran["comps"].pop(k)
-
-        out = {
-            k: smoothing.smooth_fn_grid(lambda p, k=k: raw(p, k), self.grades[k].smoother, xs)
-            for k in ks
-        }
-        return out, ran["carry"]
-
     def _components(self, x: np.ndarray, ks: Sequence[int]) -> dict[int, np.ndarray]:
         """Components of grades ks at the rows of x: one chain run at x for
         the unsmoothed grades, and one node plan for the smoothed ones."""
+        if len(x) == 0:
+            return {k: np.zeros((0, self.output_dim)) for k in ks}
         plain = [k for k in ks if self.grades[k].smoother is None]
         out = self.run_chain(x, plain)[0]
         smoothed = [k for k in ks if k not in out]
         if smoothed:
-            out.update(self._planned_components(x, smoothed))
+            out.update(self._planned_components(x, smoothed)[0])
         return out
 
-    def _planned_components(self, x: np.ndarray, ks: Sequence[int]) -> dict[int, np.ndarray]:
+    def _planned_components(
+        self,
+        x: np.ndarray,
+        ks: Sequence[int],
+        carry: Carry | None = None,
+        keep: int | None = None,
+    ) -> tuple[dict[int, np.ndarray], Carry | None]:
         """Smoothed components of grades ks at the rows of x, from one node
-        plan across their node sets.
+        plan across their node sets, and the Carry that `keep` asks for.
 
-        The distinct nodes of every node set (smoothing.distinct_nodes) form
-        one union, and each union node joins the group of the deepest grade
+        Training, test scoring and eval all evaluate smoothed grades here.
+        When ks share one node set, one chain run over its distinct nodes
+        (smoothing.distinct_nodes), in their own order and with no row
+        selection, evaluates every grade, and each grade's quadrature then
+        weights its own values (smoothing.contract).  `carry` and `keep`
+        refer to those nodes (see run_chain); they are passed only for a
+        single node set, by training.
+
+        Over several node sets the distinct nodes of every set form one
+        union, and each union node joins the group of the deepest grade
         whose node set holds it.  A group of fewer than MIN_GROUP_ROWS rows
         joins the next deeper group instead, since OpenBLAS may give a short
         product other bits than a long one.  One chain run per group,
         deepest group first, evaluates its nodes once and pools every grade
-        at the nodes of that grade's set.  A grade is contracted
-        (smoothing.contract) right after the last group holding its nodes
-        has run, and its node values are dropped; until then only the rows
-        computed so far are kept.  With a single node set the union is that
-        set, in its own order, and its one group runs the chain over every
-        node with no row selection.  The renormalized form's values at x
-        come from a chain run of their own.
+        at the nodes of that grade's set.  A grade is contracted right after
+        the last group holding its nodes has run, and its node values are
+        dropped; until then only the rows computed so far are kept.
+
+        The renormalized form's values at x come from a chain run of their
+        own.
         """
         if self.input_dim != 1:
             raise ValueError("smoothing supports 1-D input only")
         xs = x[:, 0]
+
+        def contract(k: int, vals: np.ndarray, inv: np.ndarray | None) -> np.ndarray:
+            sm = self.grades[k].smoother
+            base = self.run_chain(x, [k])[0][k] if sm.renormalize else None
+            return smoothing.contract(sm, xs, vals, inv, base)
+
         by_key: dict[Any, list[int]] = {}
         for k in ks:
             by_key.setdefault(smoothing.node_key(self.grades[k].smoother), []).append(k)
+        if len(by_key) == 1:
+            points, inv = smoothing.distinct_nodes(self.grades[ks[0]].smoother, xs)
+            comps, kept = self.run_chain(points[:, None], ks, carry, keep)
+            del points
+            return {k: contract(k, comps.pop(k), inv) for k in ks}, kept
         sets = [_NodeSet(grades, self.grades[grades[0]].smoother, xs) for grades in by_key.values()]
-        if len(sets) == 1:
-            union = sets[0].points
-            wheres = [np.arange(len(union))]
-        else:
-            keys = np.unique(np.concatenate([s.points.view(np.int64) for s in sets]))
-            union = keys.view(float)
-            wheres = [np.searchsorted(keys, s.points.view(np.int64)) for s in sets]
+        keys = np.unique(np.concatenate([s.points.view(np.int64) for s in sets]))
+        union = keys.view(float)
+        wheres = [np.searchsorted(keys, s.points.view(np.int64)) for s in sets]
         group = np.zeros(len(union), dtype=np.intp)
         for s, where in zip(sets, wheres):
             group[where] = np.maximum(group[where], s.grades[-1])
@@ -690,21 +681,18 @@ class Model:
             wanted, select = [], {}
             for s in present:
                 wanted += s.grades
-                if len(sets) > 1:
-                    mask = np.zeros(len(union), dtype=bool)
-                    mask[s.where] = True
-                    if not mask[rows].all():
-                        select.update(dict.fromkeys(s.grades, mask[rows]))
+                mask = np.zeros(len(union), dtype=bool)
+                mask[s.where] = True
+                if not mask[rows].all():
+                    select.update(dict.fromkeys(s.grades, mask[rows]))
             comps = self.run_chain(union[rows][:, None], wanted, select=select)[0]
             for s in present:
                 s.collect(d, comps)
                 if s.last == d:
                     for k in s.grades:
-                        sm = self.grades[k].smoother
-                        base = self.run_chain(x, [k])[0][k] if sm.renormalize else None
-                        out[k] = smoothing.contract(sm, xs, s.values(k), s.inv, base)
+                        out[k] = contract(k, s.values(k), s.inv)
                     s.chunks.clear()
-        return out
+        return out, None
 
     def component_values(self, k: int, x: np.ndarray) -> np.ndarray:
         """Grade k's component at the rows of x — smoothed when the grade says so."""
@@ -798,13 +786,21 @@ def _smoothing_to_dict(s: smoothing.Smoother | None) -> dict:
     return doc
 
 
+def _json_int(value: Any, name: str) -> int:
+    """A model file's integer field: a JSON integer, not a float or a bool."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return value
+
+
 def _smoothing_from_dict(d: dict) -> smoothing.Smoother | None:
     if d.get("tau", 0.0) == 0.0:
         return None
     window = smoothing.window_from_dict(d["window_mode"])
-    return smoothing.Smoother(
-        float(d["tau"]), window, int(d["M"]), bool(d.get("renormalize", False))
-    )
+    renormalize = d.get("renormalize", False)
+    if not isinstance(renormalize, bool):
+        raise ValueError(f"renormalize must be true or false, not {renormalize!r}")
+    return smoothing.Smoother(float(d["tau"]), window, _json_int(d["M"], "M"), renormalize)
 
 
 def model_to_dict(model: Model) -> dict:
@@ -844,7 +840,7 @@ def model_from_dict(doc: dict) -> Model:
             Grade(
                 weight=weight,
                 bias=np.asarray(gd["bias"], dtype=float),
-                pooling=Pooling(out_dim=t, mu=int(gd["mu"])),
+                pooling=Pooling(out_dim=t, mu=_json_int(gd["mu"], "mu")),
                 activation=_activation_from_dict(gd["activation"]),
                 smoother=_smoothing_from_dict(gd.get("smoothing", {"tau": 0.0})),
             )

@@ -144,8 +144,9 @@ def smooth_at(f: Callable[[np.ndarray], np.ndarray], sm: Smoother, x: float) -> 
 
 
 def distinct_nodes(sm: Smoother, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """The points smooth_fn_grid evaluates f at, and where each node's value
-    sits among them.
+    """The points smooth_fn_grid evaluates f at, and the node plan
+    (Model._planned_components) runs a model's chain at, and where each
+    node's value sits among them.
 
     The points are the distinct nodes around xs, keyed by bit pattern (so
     -0.0 and +0.0 stay apart), in ascending key order, with each node's
@@ -198,7 +199,8 @@ def smooth_fn_grid(
 
     f is called once on the distinct nodes (see distinct_nodes), and the
     renormalized form calls it once more on xs itself; contract then
-    weights the values.
+    weights the values.  Model._planned_components makes the same
+    distinct_nodes and contract calls around a model's chain runs.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1:

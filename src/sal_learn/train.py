@@ -120,42 +120,36 @@ def _component_smoother(cfg: GradeConfig) -> smoothing.Smoother | None:
 class _Carried:
     """The training points and the features carried there between grades.
 
-    `plain` holds N_k at the points x.  `nodes` holds N_k at the quadrature
-    nodes of the last smoothed grade, under that grade's node key; it is
-    kept only when the next grade smooths over the same nodes (the keys of
-    the configured grades are in `node_keys`), otherwise every block of
-    nodes streams straight to its pooled component.
+    `plain` holds N_k at the points x.  `nodes` holds N_k at the distinct
+    quadrature nodes of the last smoothed grade; it is kept only when the
+    next grade smooths over the same nodes (`node_keys` holds the node key
+    of each configured grade, None for an unsmoothed one), otherwise every
+    block of nodes streams straight to its pooled component.
     """
 
     def __init__(self, model: Model, x: np.ndarray, node_keys: Sequence = ()):
         self.x = x
         self.node_keys = list(node_keys)
         self.plain = model.run_chain(x, keep=len(model.grades))[1]
-        self.key = None
         self.nodes = None
 
     def component(self, model: Model, k: int, advance: bool) -> np.ndarray:
-        """Grade k's component at x, exactly as `model.predict` evaluates it.
+        """Grade k's component at x, from the node plan `model.predict` runs.
 
         With `advance` the carried features move on to N_{k+1} in the same
         pass.  Without it (the grade's activation is not final yet) they stay
         at N_k: the caller advances `plain` once the activation is fixed, and
         kept node features catch up in the next grade's pass.
         """
-        sm = model.grades[k].smoother
-        if sm is None:
+        if model.grades[k].smoother is None:
             comps, plain = model.run_chain(None, [k], self.plain, keep=k + 1 if advance else None)
             if advance:
                 self.plain = plain
-            self.key = self.nodes = None
             return comps[k]
-        key = smoothing.node_key(sm)
-        carry = self.nodes if self.key == key else None
         keep = None
-        if k + 1 < len(self.node_keys) and self.node_keys[k + 1] == key:
+        if k + 1 < len(self.node_keys) and self.node_keys[k + 1] == self.node_keys[k]:
             keep = k + 1 if advance else k
-        comps, self.nodes = model.smoothed_components([k], self.x, carry, keep)
-        self.key = key if self.nodes is not None else None
+        comps, self.nodes = model._planned_components(self.x, [k], self.nodes, keep)
         if advance:
             self.plain = model.run_chain(None, carry=self.plain, keep=k + 1)[1]
         return comps[k]

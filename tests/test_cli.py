@@ -672,8 +672,26 @@ def test_eval_missing_model_exits_with_2(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def _smoothed_model_text(**fields):
+    """A one-grade smoothed model file, with `fields` overriding the
+    grade's mu or its smoothing block's M and renormalize."""
+    smoothing = {"tau": 0.05, "window_mode": {"mode": "tau_multiples", "factor": 3.0}, "M": 21}
+    grade = {
+        "weight": [[1.0], [0.5], [-0.5]],
+        "bias": [0.0, 0.1, 0.2],
+        "mu": fields.pop("mu", 2),
+        "activation": {"kind": "relu", "params": {}},
+        "smoothing": {**smoothing, **fields},
+    }
+    return json.dumps({"format_version": 1, "input_dim": 1, "output_dim": 1, "grades": [grade]})
+
+
 def test_eval_malformed_model_exits_with_2(tmp_path, capsys):
     cfg_path = write_config(tmp_path, sal_doc())
+    good = tmp_path / "smoothed.json"
+    good.write_text(_smoothed_model_text(renormalize=True))
+    assert main(["eval", "--model", str(good), "--config", cfg_path]) == 0
+    capsys.readouterr()
     cases = (
         ("truncated.json", '{"grades": ['),
         ("version.json", '{"format_version": 7, "grades": []}'),
@@ -681,6 +699,14 @@ def test_eval_malformed_model_exits_with_2(tmp_path, capsys):
         # nested deeper than the recursion limit, when parsed and when checked
         ("deep.json", "[" * 100_000 + "]" * 100_000),
         ("nested.json", "[" * 900 + "]" * 900),
+        # renormalize is a JSON boolean, M and mu are JSON integers
+        ("renormalize_string.json", _smoothed_model_text(renormalize="false")),
+        ("renormalize_int.json", _smoothed_model_text(renormalize=0)),
+        ("m_fraction.json", _smoothed_model_text(M=20.9)),
+        ("m_float.json", _smoothed_model_text(M=21.0)),
+        ("m_bool.json", _smoothed_model_text(M=True)),
+        ("mu_fraction.json", _smoothed_model_text(mu=2.5)),
+        ("mu_bool.json", _smoothed_model_text(mu=True)),
     )
     for name, text in cases:
         path = tmp_path / name

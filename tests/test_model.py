@@ -676,6 +676,20 @@ def test_short_node_group_runs_with_the_next_deeper_group(t, monkeypatch):
     assert runs[:2] == [(len(x), [0]), (896, [1, 2])]
 
 
+@pytest.mark.parametrize("node_sets, hybrid", [(1, False), (2, False), (2, True)])
+def test_predict_on_zero_rows_gives_zero_rows(node_sets, hybrid):
+    if node_sets == 1:
+        model = _smoothed_pair(2, _tau_multiples(0.005))
+    else:
+        model = _cascade(mlp.he_init(1, [5, 6], 2, [TANH, RELU], SplitMix64(4)) if hybrid else None)
+    assert model.predict(np.full((3, 1), 0.5)).shape == (3, 2)
+    empty = np.zeros((0, 1))
+    assert model.predict(empty).shape == (0, 2)
+    stages = [out.shape for out in model.staged_predict(empty)]
+    assert stages == [(0, 2)] * (len(model.grades) + hybrid)
+    assert all(model.component_values(k, empty).shape == (0, 2) for k in range(len(model.grades)))
+
+
 def test_node_plan_peak_memory_stays_below_all_node_values():
     # six node sets of 20000 random-point nodes each, 73769 distinct in
     # all: each grade's node values are contracted and dropped after the

@@ -388,6 +388,63 @@ def test_test_set_runs_each_union_node_once_at_its_deepest_grade_after_training(
     assert [max(wanted) for _, wanted, _ in runs[1:]] == [3, 2]
 
 
+def test_training_runs_each_smoothed_grade_once_over_its_distinct_nodes(monkeypatch):
+    # training evaluates a smoothed grade through the node plan predict
+    # runs, never through smooth_fn_grid: one chain run over its node set's
+    # distinct nodes, starting from the previous grade's features there
+    # when the sets agree, and keeping N_k (combination) or N_{k+1} for
+    # the next grade of the same set
+    ds = make_train(target_nondiff(), -1.0, 1.0, 0.0, 61)
+    shared = smoothing.GridSteps(10, 2e-3)
+    grades = [
+        GradeConfig(width=6, activation=SINCOS_HALF, solver=DIRECT),
+        GradeConfig(width=6, activation=[RELU, TANH], tau=0.01, window=shared, quad_points=21, solver=DIRECT),
+        GradeConfig(width=6, activation=RELU, tau=0.005, window=shared, quad_points=21, solver=DIRECT),
+        GradeConfig(width=8, activation=TANH, tau=0.01, window=shared, quad_points=21, solver=DIRECT),
+        GradeConfig(
+            width=6, activation=TANH, tau=0.01, window=smoothing.TauMultiples(3.0), quad_points=31, solver=DIRECT
+        ),
+        GradeConfig(width=6, activation=RELU, solver=DIRECT),
+    ]
+    x = ds.inputs[:, 0]
+
+    def node_keys(g):
+        points = smoothing.distinct_nodes(smoothing.Smoother(g.tau, g.window, g.quad_points), x)[0]
+        return points.view(np.int64).tolist()
+
+    xk, sk, tk = x.view(np.int64).tolist(), node_keys(grades[1]), node_keys(grades[4])
+    calls = []
+    run_chain = Model.run_chain
+
+    def recording_chain(self, points, wanted=(), carry=None, keep=None, select=None):
+        keys = None if points is None else points[:, 0].view(np.int64).tolist()
+        held = None if carry is None else (carry.depth, len(carry.feats))
+        calls.append((keys, sorted(wanted), held, keep))
+        return run_chain(self, points, wanted, carry, keep, select)
+
+    def no_smooth_fn_grid(*args, **kwargs):
+        raise AssertionError("training called smooth_fn_grid")
+
+    monkeypatch.setattr(Model, "run_chain", recording_chain)
+    monkeypatch.setattr(smoothing, "smooth_fn_grid", no_smooth_fn_grid)
+    model, _ = train_sal(ds, TrainConfig(grades))
+    assert model.grades[1].activation.kind == "combination"
+    n = len(x)
+    assert calls == [
+        (xk, [], None, 0),
+        (None, [0], (0, n), 1),
+        (sk, [1], None, 1),
+        (None, [], (1, n), 2),
+        (sk, [2], (1, len(sk)), 3),
+        (None, [], (2, n), 3),
+        (sk, [3], (3, len(sk)), None),
+        (None, [], (3, n), 4),
+        (tk, [4], None, None),
+        (None, [], (4, n), 5),
+        (None, [5], (5, n), 6),
+    ]
+
+
 def test_carry_at_distinct_nodes_matches_reference_chain():
     # two consecutive grades with one node key on a uniform grid whose step
     # is commensurate with the node spacing: the second grade starts from
