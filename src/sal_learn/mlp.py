@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import IDENTITY, Activation, _activation_from_dict, _activation_to_dict, sq_norm
+from .model import IDENTITY, Activation, _activation_from_dict, _activation_to_dict, _json_array, sq_norm
 from .records import SsgRecord, TrainReport
 from .rng import SplitMix64
 
@@ -93,8 +93,8 @@ class MlpParams:
     def from_dict(cls, doc: dict) -> "MlpParams":
         layers = doc["layers"]
         return cls(
-            weights=[np.asarray(l["weight"], dtype=float) for l in layers],
-            biases=[np.asarray(l["bias"], dtype=float) for l in layers],
+            weights=[_json_array(l["weight"], "weight") for l in layers],
+            biases=[_json_array(l["bias"], "bias") for l in layers],
             activations=[_activation_from_dict(l["activation"]) for l in layers],
         )
 

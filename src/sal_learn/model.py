@@ -37,7 +37,10 @@ _BASE_KINDS = ("identity", "relu", "leaky_relu", "tanh", "sincos_half")
 
 @dataclass(frozen=True)
 class Activation:
-    """Elementwise activation; "combination" is a fixed linear mix of base kinds."""
+    """Elementwise activation; "combination" is a fixed linear mix of base kinds.
+
+    Each kind is coded in into (the value) and value_and_derivative alone;
+    __call__ and derivative wrap them."""
 
     kind: str
     slope: float = 0.01
@@ -54,79 +57,63 @@ class Activation:
             raise ValueError(f"unknown activation kind: {self.kind!r}")
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
-        if self.kind == "identity":
-            return np.asarray(z, dtype=float)
-        if self.kind == "relu":
-            return np.maximum(z, 0.0)
-        if self.kind == "leaky_relu":
-            return np.where(z >= 0.0, z, self.slope * z)
-        if self.kind == "tanh":
-            return np.tanh(z)
-        if self.kind == "sincos_half":
-            # 0.5 * sin(z) + 0.5 * cos(z) in place: the same operations, in
-            # two arrays instead of five
-            out = np.sin(z)
-            out *= 0.5
-            half_cos = np.cos(z)
-            half_cos *= 0.5
-            out += half_cos
-            return out
-        out = np.zeros_like(np.asarray(z, dtype=float))
-        for w, act in zip(self.weights, self.basis):
-            out += w * act(z)
-        return out
+        return self.into(np.array(z, dtype=float), np.empty(np.shape(z)))
 
     def into(self, z: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """self(z) written into out (a float array of z's shape, not z
-        itself), by the operations of __call__, so with the same bits.
+        """The activation of z written into out, which is returned.
 
-        sincos_half overwrites z: its cosine is computed in place over z.
+        z is a float array and out a float array of its shape, not z itself.
+        z may be overwritten: sincos_half computes its cosine in place over z.
         """
-        if self.kind == "relu":
-            return np.maximum(z, 0.0, out=out)
-        if self.kind == "tanh":
-            return np.tanh(z, out=out)
-        if self.kind == "sincos_half":
+        if self.kind == "identity":
+            np.copyto(out, z)
+        elif self.kind == "relu":
+            np.maximum(z, 0.0, out=out)
+        elif self.kind == "leaky_relu":
+            np.multiply(self.slope, z, out=out)
+            np.copyto(out, z, where=z >= 0.0)
+        elif self.kind == "tanh":
+            np.tanh(z, out=out)
+        elif self.kind == "sincos_half":
+            # 0.5 * sin(z) + 0.5 * cos(z), in out and z alone
             np.sin(z, out=out)
             out *= 0.5
             half_cos = np.cos(z, out=z)
             half_cos *= 0.5
             out += half_cos
-            return out
-        np.copyto(out, self(z))
+        else:
+            out.fill(0.0)
+            for w, act in zip(self.weights, self.basis):
+                out += w * act(z)
         return out
 
     def value_and_derivative(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(self(z), self.derivative(z)) with the same bits, from one sine and
-        cosine (or tanh) evaluation."""
+        """The activation of z and its elementwise derivative, from one sine
+        and cosine (or tanh) evaluation; ReLU takes subgradient 0 at the kink."""
+        z = np.asarray(z, dtype=float)
+        if self.kind == "tanh":
+            t = np.tanh(z)
+            return t, 1.0 - t * t
         if self.kind == "sincos_half":
             half_sin = np.sin(z)
             half_sin *= 0.5
             half_cos = np.cos(z)
             half_cos *= 0.5
             return half_sin + half_cos, half_cos - half_sin
-        if self.kind == "tanh":
-            t = np.tanh(z)
-            return t, 1.0 - t * t
-        return self(z), self.derivative(z)
+        if self.kind == "combination":
+            value, deriv = np.zeros_like(z), np.zeros_like(z)
+            for w, act in zip(self.weights, self.basis):
+                v, d = act.value_and_derivative(z)
+                value += w * v
+                deriv += w * d
+            return value, deriv
+        # identity, relu and leaky_relu have slope 1 above 0 and this one below
+        below = {"identity": 1.0, "relu": 0.0, "leaky_relu": self.slope}[self.kind]
+        return self(z), np.where(z > 0.0, 1.0, below)
 
     def derivative(self, z: np.ndarray) -> np.ndarray:
-        """Elementwise derivative; ReLU takes subgradient 0 at the kink."""
-        if self.kind == "identity":
-            return np.ones_like(np.asarray(z, dtype=float))
-        if self.kind == "relu":
-            return (np.asarray(z) > 0.0).astype(float)
-        if self.kind == "leaky_relu":
-            return np.where(np.asarray(z) > 0.0, 1.0, self.slope)
-        if self.kind == "tanh":
-            t = np.tanh(z)
-            return 1.0 - t * t
-        if self.kind == "sincos_half":
-            return 0.5 * np.cos(z) - 0.5 * np.sin(z)
-        out = np.zeros_like(np.asarray(z, dtype=float))
-        for w, act in zip(self.weights, self.basis):
-            out += w * act.derivative(z)
-        return out
+        """The elementwise derivative of value_and_derivative."""
+        return self.value_and_derivative(z)[1]
 
 
 IDENTITY = Activation("identity")
@@ -413,10 +400,6 @@ class Grade:
     def width(self) -> int:
         return self.weight.shape[0]
 
-    @property
-    def tau(self) -> float:
-        return self.smoother.tau if self.smoother is not None else 0.0
-
 
 @dataclass
 class Carry:
@@ -529,8 +512,8 @@ class Model:
         written into the second (Activation.into), or, when it is N_keep,
         straight into the block's rows of the kept features.  No array of
         a block's size is made per block, so none is returned to the kernel
-        and faulted back in, and the operations, hence the bits, are those
-        of evaluating each block into fresh arrays.
+        and faulted back in; the operations, hence the bits, are those of
+        evaluating each block into fresh arrays, as Activation.__call__ does.
         """
         if carry is not None:
             if points is not None and len(points) != len(carry.feats):
@@ -769,10 +752,11 @@ def _activation_from_dict(d: dict) -> Activation:
     kind = d["kind"]
     params = d.get("params", {})
     if kind == "leaky_relu":
-        return Activation(kind, slope=float(params["slope"]))
+        return Activation(kind, slope=_json_number(params["slope"], "slope"))
     if kind == "combination":
         return combination(
-            params["weights"], [_activation_from_dict(b) for b in params["basis"]]
+            [_json_number(w, "combination weight") for w in params["weights"]],
+            [_activation_from_dict(b) for b in params["basis"]],
         )
     return Activation(kind)
 
@@ -793,14 +777,33 @@ def _json_int(value: Any, name: str) -> int:
     return value
 
 
+def _json_number(value: Any, name: str) -> float:
+    """A model file's real field: a JSON number, not a string or a bool."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{name} must be a number, not {value!r}")
+    return float(value)
+
+
+def _json_array(value: Any, name: str) -> np.ndarray:
+    """A model file's weight or bias: (nested) lists of JSON numbers."""
+    cells = np.asarray(value, dtype=object)
+    if not all(type(v) in (int, float) for v in cells.flat):
+        raise ValueError(f"{name} must hold only numbers")
+    return cells.astype(float)
+
+
 def _smoothing_from_dict(d: dict) -> smoothing.Smoother | None:
-    if d.get("tau", 0.0) == 0.0:
+    tau = _json_number(d.get("tau", 0.0), "tau")
+    if tau == 0.0:
         return None
-    window = smoothing.window_from_dict(d["window_mode"])
+    doc = d["window_mode"]
+    window = smoothing.window_from_dict(doc)
+    for key in smoothing.WINDOW_FIELDS[doc["mode"]]:
+        (_json_int if key == "count" else _json_number)(doc[key], key)
     renormalize = d.get("renormalize", False)
     if not isinstance(renormalize, bool):
         raise ValueError(f"renormalize must be true or false, not {renormalize!r}")
-    return smoothing.Smoother(float(d["tau"]), window, _json_int(d["M"], "M"), renormalize)
+    return smoothing.Smoother(tau, window, _json_int(d["M"], "M"), renormalize)
 
 
 def model_to_dict(model: Model) -> dict:
@@ -827,7 +830,7 @@ def model_to_dict(model: Model) -> dict:
 def model_from_dict(doc: dict) -> Model:
     if doc.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported model format_version: {doc.get('format_version')!r}")
-    t = int(doc["output_dim"])
+    t = _json_int(doc["output_dim"], "output_dim")
     head = None
     if "hybrid_head" in doc:
         from .mlp import MlpParams  # deferred: mlp imports this module
@@ -835,14 +838,13 @@ def model_from_dict(doc: dict) -> Model:
         head = MlpParams.from_dict(doc["hybrid_head"])
     grades = []
     for gd in doc["grades"]:
-        weight = np.asarray(gd["weight"], dtype=float)
         grades.append(
             Grade(
-                weight=weight,
-                bias=np.asarray(gd["bias"], dtype=float),
+                weight=_json_array(gd["weight"], "weight"),
+                bias=_json_array(gd["bias"], "bias"),
                 pooling=Pooling(out_dim=t, mu=_json_int(gd["mu"], "mu")),
                 activation=_activation_from_dict(gd["activation"]),
                 smoother=_smoothing_from_dict(gd.get("smoothing", {"tau": 0.0})),
             )
         )
-    return Model(int(doc["input_dim"]), t, grades, head)
+    return Model(_json_int(doc["input_dim"], "input_dim"), t, grades, head)

@@ -13,7 +13,6 @@ the pooling matrix) provides the exact answer for ridge = 0.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -198,7 +197,6 @@ class SolveStats:
     iterations: int
     final_objective: float
     stop_reason: str  # "epsilon" | "max_iters" | "direct"
-    wall_time_s: float = 0.0
     objective_trace: list[float] | None = None
     note: str = ""
     lipschitz: float | None = None  # the bound L behind the 1/L step (Nesterov only)
@@ -213,7 +211,6 @@ def nesterov_solve(problem: Problem, cfg: SolverConfig) -> tuple[np.ndarray, np.
     """
     if cfg.method != "nesterov":
         raise ValueError("nesterov_solve needs cfg.method == 'nesterov'")
-    t0 = time.perf_counter()
     lip = lipschitz_bound(problem, cfg.lipschitz_safety)
     shape = (problem.pooling.in_dim, problem.n_features)
     if cfg.init in ("he", "randn"):
@@ -259,7 +256,6 @@ def nesterov_solve(problem: Problem, cfg: SolverConfig) -> tuple[np.ndarray, np.
         iterations=iterations,
         final_objective=j_val,
         stop_reason=stop_reason,
-        wall_time_s=time.perf_counter() - t0,
         objective_trace=trace,
         lipschitz=lip,
     )
@@ -308,7 +304,6 @@ def direct_solve(problem: Problem) -> tuple[np.ndarray, np.ndarray, SolveStats]:
     """
     if problem.ridge != 0.0:
         raise ValueError("direct solver requires ridge = 0")
-    t0 = time.perf_counter()
     f1 = np.column_stack([problem.features, np.ones(problem.n_samples)])
     dim = f1.shape[1]
     gram = f1.T @ f1
@@ -344,7 +339,6 @@ def direct_solve(problem: Problem) -> tuple[np.ndarray, np.ndarray, SolveStats]:
         iterations=total_iters,
         final_objective=j_opt,
         stop_reason="direct",
-        wall_time_s=time.perf_counter() - t0,
         note=note,
     )
     return weight, bias, stats

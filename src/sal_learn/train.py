@@ -16,7 +16,7 @@ import numpy as np
 
 from . import mlp, qp, smoothing
 from .data import Dataset
-from .model import Activation, Grade, Model, Pooling, sq_norm
+from .model import Activation, Grade, Model, Pooling, combination, sq_norm
 from .records import GradeRecord, TrainReport
 
 SMOOTHING_TARGETS = ("component", "residual", "none")
@@ -210,9 +210,7 @@ def train_grade(
     if not single:
         pre = feats @ weight.T + bias
         alpha, flagged = select_activation(list(candidates), pre, pooling, new_residual)
-        grade.activation = Activation(
-            "combination", weights=tuple(float(a) for a in alpha), basis=tuple(candidates)
-        )
+        grade.activation = combination(alpha, candidates)
         carried.plain = view.run_chain(None, carry=carried.plain, keep=k + 1)[1]
         if flagged:
             stats.note = (stats.note + "; " if stats.note else "") + (
@@ -303,6 +301,6 @@ def train_sal(
     report = TrainReport(
         records=records,
         total_time_s=time.perf_counter() - start,
-        metadata={"smoothing_metrics": "after", "hybrid": cfg.head is not None},
+        metadata={"hybrid": cfg.head is not None},
     )
     return model, report

@@ -686,11 +686,49 @@ def _smoothed_model_text(**fields):
     return json.dumps({"format_version": 1, "input_dim": 1, "output_dim": 1, "grades": [grade]})
 
 
+def _edited_model_text(path, value, text=None):
+    """A model file, by default the one-grade smoothed one, with the entry at
+    `path` (keys and indices) set to `value`."""
+    doc = json.loads(text or _smoothed_model_text())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return json.dumps(doc)
+
+
+_MLP_MODEL_TEXT = json.dumps(
+    {
+        "format_version": 1,
+        "kind": "mlp",
+        "layers": [
+            {"weight": [[1.0], [-1.0]], "bias": [0.0, 0.5], "activation": {"kind": "relu", "params": {}}},
+            {"weight": [[0.5, 0.5]], "bias": [0.1], "activation": {"kind": "identity", "params": {}}},
+        ],
+    }
+)
+
+
 def test_eval_malformed_model_exits_with_2(tmp_path, capsys):
     cfg_path = write_config(tmp_path, sal_doc())
-    good = tmp_path / "smoothed.json"
-    good.write_text(_smoothed_model_text(renormalize=True))
-    assert main(["eval", "--model", str(good), "--config", cfg_path]) == 0
+    grade = ["grades", 0]
+    grid_steps = {"mode": "grid_steps", "count": 4, "step": 0.01}
+    leaky = {"kind": "leaky_relu", "params": {"slope": 0.1}}
+    slope_string = {"kind": "leaky_relu", "params": {"slope": "0.1"}}
+    basis = [{"kind": "relu"}, {"kind": "tanh"}]
+    mixed = {"kind": "combination", "params": {"weights": [0.5, 1], "basis": basis}}
+    mix_bool = {"kind": "combination", "params": {"weights": [0.5, True], "basis": basis}}
+    well_formed = (
+        _smoothed_model_text(renormalize=True),
+        _smoothed_model_text(window_mode=grid_steps),
+        _edited_model_text(grade + ["activation"], leaky),
+        _edited_model_text(grade + ["activation"], mixed),
+        _MLP_MODEL_TEXT,
+    )
+    for i, text in enumerate(well_formed):
+        good = tmp_path / f"good{i}.json"
+        good.write_text(text)
+        assert main(["eval", "--model", str(good), "--config", cfg_path]) == 0
     capsys.readouterr()
     cases = (
         ("truncated.json", '{"grades": ['),
@@ -707,6 +745,22 @@ def test_eval_malformed_model_exits_with_2(tmp_path, capsys):
         ("m_bool.json", _smoothed_model_text(M=True)),
         ("mu_fraction.json", _smoothed_model_text(mu=2.5)),
         ("mu_bool.json", _smoothed_model_text(mu=True)),
+        # every other number is a JSON number, and a count or dim an integer
+        ("count_fraction.json", _smoothed_model_text(window_mode={**grid_steps, "count": 4.7})),
+        ("count_bool.json", _smoothed_model_text(window_mode={**grid_steps, "count": True})),
+        ("step_string.json", _smoothed_model_text(window_mode={**grid_steps, "step": "0.01"})),
+        ("factor_bool.json", _smoothed_model_text(window_mode={"mode": "tau_multiples", "factor": True})),
+        ("tau_string.json", _smoothed_model_text(tau="0.05")),
+        ("tau_bool.json", _smoothed_model_text(tau=False)),
+        ("input_dim_string.json", _edited_model_text(["input_dim"], "1")),
+        ("output_dim_fraction.json", _edited_model_text(["output_dim"], 1.5)),
+        ("weight_string.json", _edited_model_text(grade + ["weight", 0, 0], "1.0")),
+        ("weight_bool.json", _edited_model_text(grade + ["weight", 0, 0], True)),
+        ("bias_string.json", _edited_model_text(grade + ["bias", 1], "0.1")),
+        ("slope_string.json", _edited_model_text(grade + ["activation"], slope_string)),
+        ("mix_bool.json", _edited_model_text(grade + ["activation"], mix_bool)),
+        ("mlp_weight_string.json", _edited_model_text(["layers", 0, "weight", 1, 0], "-1.0", _MLP_MODEL_TEXT)),
+        ("mlp_bias_bool.json", _edited_model_text(["layers", 1, "bias", 0], True, _MLP_MODEL_TEXT)),
     )
     for name, text in cases:
         path = tmp_path / name

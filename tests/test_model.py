@@ -361,16 +361,23 @@ def test_value_and_derivative_have_the_bits_of_each_call(act):
     assert SINCOS_HALF(z).tobytes() == (0.5 * np.sin(z) + 0.5 * np.cos(z)).tobytes()
 
 
-@pytest.mark.parametrize(
-    "act",
-    [IDENTITY, RELU, leaky_relu(0.1), TANH, SINCOS_HALF, combination([0.7, -0.4, 0.2], [SINCOS_HALF, TANH, IDENTITY])],
-)
-def test_activation_into_has_the_bits_of_the_call(act):
+def _edge_inputs() -> np.ndarray:
+    """Uniform values up to 1e6 and normals, led by ±0.0, ±inf, NaN of either
+    sign, ±pi, subnormals and ±1e6."""
     rng = np.random.default_rng(6)
     z = rng.uniform(-1e6, 1e6, (60, 7))
     z[30:] = rng.standard_normal((30, 7)) * 4.0
     special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, np.pi, -np.pi, 5e-324, -5e-324, -1e-310, 1e6, -1e6]
     z.flat[: len(special)] = special
+    return z
+
+
+@pytest.mark.parametrize(
+    "act",
+    [IDENTITY, RELU, leaky_relu(0.1), TANH, SINCOS_HALF, combination([0.7, -0.4, 0.2], [SINCOS_HALF, TANH, IDENTITY])],
+)
+def test_activation_into_has_the_bits_of_the_call(act):
+    z = _edge_inputs()
     with np.errstate(invalid="ignore"):
         expected = act(z)
         arg, out = z.copy(), np.full_like(z, 7.0)
@@ -379,6 +386,45 @@ def test_activation_into_has_the_bits_of_the_call(act):
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
     if act.kind != "sincos_half":  # the one form documented to overwrite z
         assert np.array_equal(arg.view(np.int64), z.view(np.int64))
+
+
+# each base kind written out in plain NumPy: (value, derivative)
+_PLAIN = {
+    "identity": (lambda z: z, np.ones_like),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0).astype(float)),
+    "leaky_relu": (lambda z: np.where(z >= 0, z, 0.1 * z), lambda z: np.where(z > 0, 1.0, 0.1)),
+    "tanh": (np.tanh, lambda z: 1 - np.tanh(z) * np.tanh(z)),
+    "sincos_half": (
+        lambda z: 0.5 * np.sin(z) + 0.5 * np.cos(z),
+        lambda z: 0.5 * np.cos(z) - 0.5 * np.sin(z),
+    ),
+}
+
+
+def _plain(act, z, which):
+    """act's value (which=0) or derivative (which=1) at z by _PLAIN; a
+    combination as zeros plus each weight times its basis kind, in order."""
+    if act.kind != "combination":
+        return _PLAIN[act.kind][which](z)
+    total = np.zeros_like(z)
+    for w, base in zip(act.weights, act.basis):
+        total += w * _plain(base, z, which)
+    return total
+
+
+@pytest.mark.parametrize(
+    "act",
+    [IDENTITY, RELU, leaky_relu(0.1), TANH, SINCOS_HALF, combination([0.7, -0.4, 0.2], [SINCOS_HALF, TANH, IDENTITY])],
+    ids=lambda act: act.kind,
+)
+def test_each_kind_has_the_bits_of_plain_numpy(act):
+    z = _edge_inputs()
+    with np.errstate(invalid="ignore"):
+        value, deriv = _plain(act, z, 0), _plain(act, z, 1)
+        got = [act(z), act.into(z.copy(), np.full_like(z, 7.0)), *act.value_and_derivative(z)]
+        got.append(act.derivative(z))
+    for result, want in zip(got, [value, value, value, deriv, deriv]):
+        assert np.array_equal(result.view(np.int64), want.view(np.int64))
 
 
 def test_combination_weighted_sum():
