@@ -784,12 +784,15 @@ def _json_number(value: Any, name: str) -> float:
     return float(value)
 
 
+def _all_numbers(node: Any) -> bool:
+    return all(map(_all_numbers, node)) if isinstance(node, list) else type(node) in (int, float)
+
+
 def _json_array(value: Any, name: str) -> np.ndarray:
     """A model file's weight or bias: (nested) lists of JSON numbers."""
-    cells = np.asarray(value, dtype=object)
-    if not all(type(v) in (int, float) for v in cells.flat):
+    if not _all_numbers(value):
         raise ValueError(f"{name} must hold only numbers")
-    return cells.astype(float)
+    return np.asarray(value, dtype=float)
 
 
 def _smoothing_from_dict(d: dict) -> smoothing.Smoother | None:
