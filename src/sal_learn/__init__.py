@@ -32,9 +32,8 @@ from .model import (
     combination,
     inner_product,
     leaky_relu,
-    model_from_dict,
-    model_to_dict,
     norm,
+    rse,
     sq_norm,
 )
 from .qp import (
@@ -51,10 +50,18 @@ from .qp import (
     solve,
 )
 from .records import GradeRecord, SsgRecord, TrainReport
-from .reporting import load_model, model_json, sal_report_rows, save_mlp, save_model, write_csv
+from .reporting import (
+    load_model,
+    model_from_dict,
+    model_json,
+    model_to_dict,
+    sal_report_rows,
+    save_model,
+    write_csv,
+)
 from .rng import SplitMix64
 from .smoothing import GridSteps, Smoother, TauMultiples, smooth_fn_grid, smooth_grid
-from .train import GradeConfig, TrainConfig, TrainError, rse, train_grade, train_sal
+from .train import GradeConfig, TrainConfig, TrainError, train_grade, train_sal
 
 __version__ = "0.1.0"
 
@@ -109,7 +116,6 @@ __all__ = [
     "oscillatory_coefficients",
     "rse",
     "sal_report_rows",
-    "save_mlp",
     "save_model",
     "smooth_fn_grid",
     "smooth_grid",

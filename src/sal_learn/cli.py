@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import data as bench
 from . import mlp, qp, train
-from .model import Activation
+from .model import Activation, Model
 from .records import TrainReport
 from .reporting import (
     SAL_COLUMNS,
@@ -24,7 +24,6 @@ from .reporting import (
     format_cell,
     load_model,
     sal_report_rows,
-    save_mlp,
     save_model,
     write_csv,
 )
@@ -473,7 +472,7 @@ def cmd_train_ssg(cfg: RunConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     write_csv(report.records, csv_path, SSG_COLUMNS)
-    save_mlp(params, model_path)
+    save_model(params, model_path)
     _log(
         cfg.out_dir,
         ["command: train-ssg", f"metadata: {report.metadata}", f"total_time_s: {report.total_time_s:.3f}"],
@@ -580,6 +579,14 @@ def cmd_eval(model_path, cfg: RunConfig) -> int:
             f"model maps {model.input_dim} -> {model.output_dim} dims,"
             f" the config's data {data_dims[0]} -> {data_dims[1]}",
         )
+    if isinstance(model, Model):
+        takes = model.head.input_dim if model.head is not None else model.grades[0].weight.shape[1]
+        if takes != model.input_dim:
+            raise Refusal(
+                "model error",
+                f"malformed model {model_path}: its first layer takes {takes} inputs,"
+                f" input_dim is {model.input_dim}",
+            )
     try:
         pred = model.predict(train_set.inputs)
         pred_test = None if test_set is None else model.predict(test_set.inputs)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import IDENTITY, Activation, _activation_from_dict, _activation_to_dict, _json_array, sq_norm
+from .model import IDENTITY, Activation, rse, sq_norm
 from .records import SsgRecord, TrainReport
 from .rng import SplitMix64
 
@@ -76,27 +76,6 @@ class MlpParams:
         if len(self.weights) == 1:
             return np.asarray(x, dtype=float)
         return self.forward(x)[2][-2]
-
-    def to_dict(self) -> dict:
-        return {
-            "layers": [
-                {
-                    "weight": w.tolist(),
-                    "bias": b.tolist(),
-                    "activation": _activation_to_dict(a),
-                }
-                for w, b, a in zip(self.weights, self.biases, self.activations)
-            ]
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "MlpParams":
-        layers = doc["layers"]
-        return cls(
-            weights=[_json_array(l["weight"], "weight") for l in layers],
-            biases=[_json_array(l["bias"], "bias") for l in layers],
-            activations=[_activation_from_dict(l["activation"]) for l in layers],
-        )
 
 
 def he_init(
@@ -205,8 +184,6 @@ class MlpTrainConfig:
 def train_ssg(dataset, cfg: MlpTrainConfig, test=None) -> tuple[MlpParams, TrainReport]:
     """Full-batch Adam from He init; stops at the epoch limit or when the
     relative change between consecutive loss values drops below epsilon."""
-    from .train import rse  # local import: train.py imports this module
-
     x, y = dataset.inputs, dataset.targets
     acts = cfg.activations or [Activation("relu")] * len(cfg.widths)
     rng = SplitMix64(cfg.seed)

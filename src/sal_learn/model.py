@@ -16,8 +16,6 @@ import numpy as np
 
 from . import smoothing
 
-FORMAT_VERSION = 1
-
 # Rows per block of the feature recursion: 4096 rows of width 128 are 4 MB,
 # the size of each of the two work arrays per width that Model.run_chain
 # reuses for every block.
@@ -474,7 +472,7 @@ class Model:
     input_dim: int
     output_dim: int
     grades: list[Grade] = field(default_factory=list)
-    head: Any = None  # optional MlpParams; duck-typed (predict / hidden / to_dict)
+    head: Any = None  # optional MlpParams; duck-typed (predict / hidden)
 
     def _check_input(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -731,123 +729,12 @@ def norm(u: np.ndarray) -> float:
     return float(np.sqrt(sq_norm(u)))
 
 
-# --- serialization ----------------------------------------------------------
-
-
-def _activation_to_dict(a: Activation) -> dict:
-    if a.kind == "leaky_relu":
-        return {"kind": a.kind, "params": {"slope": a.slope}}
-    if a.kind == "combination":
-        return {
-            "kind": a.kind,
-            "params": {
-                "weights": list(a.weights),
-                "basis": [_activation_to_dict(b) for b in a.basis],
-            },
-        }
-    return {"kind": a.kind, "params": {}}
-
-
-def _activation_from_dict(d: dict) -> Activation:
-    kind = d["kind"]
-    params = d.get("params", {})
-    if kind == "leaky_relu":
-        return Activation(kind, slope=_json_number(params["slope"], "slope"))
-    if kind == "combination":
-        return combination(
-            [_json_number(w, "combination weight") for w in params["weights"]],
-            [_activation_from_dict(b) for b in params["basis"]],
-        )
-    return Activation(kind)
-
-
-def _smoothing_to_dict(s: smoothing.Smoother | None) -> dict:
-    if s is None:
-        return {"tau": 0.0}
-    doc = {"tau": s.tau, "window_mode": smoothing.window_to_dict(s.window), "M": s.quad_points}
-    if s.renormalize:
-        doc["renormalize"] = True
-    return doc
-
-
-def _json_int(value: Any, name: str) -> int:
-    """A model file's integer field: a JSON integer, not a float or a bool."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an integer, not {value!r}")
-    return value
-
-
-def _json_number(value: Any, name: str) -> float:
-    """A model file's real field: a JSON number, not a string or a bool."""
-    if type(value) not in (int, float):
-        raise ValueError(f"{name} must be a number, not {value!r}")
-    return float(value)
-
-
-def _all_numbers(node: Any) -> bool:
-    return all(map(_all_numbers, node)) if isinstance(node, list) else type(node) in (int, float)
-
-
-def _json_array(value: Any, name: str) -> np.ndarray:
-    """A model file's weight or bias: (nested) lists of JSON numbers."""
-    if not _all_numbers(value):
-        raise ValueError(f"{name} must hold only numbers")
-    return np.asarray(value, dtype=float)
-
-
-def _smoothing_from_dict(d: dict) -> smoothing.Smoother | None:
-    tau = _json_number(d.get("tau", 0.0), "tau")
-    if tau == 0.0:
-        return None
-    doc = d["window_mode"]
-    window = smoothing.window_from_dict(doc)
-    for key in smoothing.WINDOW_FIELDS[doc["mode"]]:
-        (_json_int if key == "count" else _json_number)(doc[key], key)
-    renormalize = d.get("renormalize", False)
-    if not isinstance(renormalize, bool):
-        raise ValueError(f"renormalize must be true or false, not {renormalize!r}")
-    return smoothing.Smoother(tau, window, _json_int(d["M"], "M"), renormalize)
-
-
-def model_to_dict(model: Model) -> dict:
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "input_dim": model.input_dim,
-        "output_dim": model.output_dim,
-        "grades": [
-            {
-                "weight": g.weight.tolist(),
-                "bias": g.bias.tolist(),
-                "mu": g.pooling.mu,
-                "activation": _activation_to_dict(g.activation),
-                "smoothing": _smoothing_to_dict(g.smoother),
-            }
-            for g in model.grades
-        ],
-    }
-    if model.head is not None:
-        doc["hybrid_head"] = model.head.to_dict()
-    return doc
-
-
-def model_from_dict(doc: dict) -> Model:
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported model format_version: {doc.get('format_version')!r}")
-    t = _json_int(doc["output_dim"], "output_dim")
-    head = None
-    if "hybrid_head" in doc:
-        from .mlp import MlpParams  # deferred: mlp imports this module
-
-        head = MlpParams.from_dict(doc["hybrid_head"])
-    grades = []
-    for gd in doc["grades"]:
-        grades.append(
-            Grade(
-                weight=_json_array(gd["weight"], "weight"),
-                bias=_json_array(gd["bias"], "bias"),
-                pooling=Pooling(out_dim=t, mu=_json_int(gd["mu"], "mu")),
-                activation=_activation_from_dict(gd["activation"]),
-                smoother=_smoothing_from_dict(gd.get("smoothing", {"tau": 0.0})),
-            )
-        )
-    return Model(_json_int(doc["input_dim"], "input_dim"), t, grades, head)
+def rse(predictions: np.ndarray, targets: np.ndarray) -> float:
+    """Relative squared error: sum ||pred - y||^2 / sum ||y||^2."""
+    predictions, targets = np.asarray(predictions), np.asarray(targets)
+    if predictions.shape != targets.shape:
+        raise ValueError(f"rse of predictions {predictions.shape} against targets {targets.shape}")
+    denom = sq_norm(targets)
+    if denom == 0.0:
+        raise ValueError("rse undefined for all-zero targets")
+    return sq_norm(predictions - targets) / denom

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import mlp, qp, smoothing
 from .data import Dataset
-from .model import Activation, Grade, Model, Pooling, combination, sq_norm
+from .model import Activation, Grade, Model, Pooling, combination, rse, sq_norm
 from .records import GradeRecord, TrainReport
 
 SMOOTHING_TARGETS = ("component", "residual", "none")
@@ -68,17 +68,6 @@ class TrainConfig:
     def __post_init__(self):
         if not self.grades and self.head is None:
             raise ValueError("need at least one grade or a head")
-
-
-def rse(predictions: np.ndarray, targets: np.ndarray) -> float:
-    """Relative squared error: sum ||pred - y||^2 / sum ||y||^2."""
-    predictions, targets = np.asarray(predictions), np.asarray(targets)
-    if predictions.shape != targets.shape:
-        raise ValueError(f"rse of predictions {predictions.shape} against targets {targets.shape}")
-    denom = sq_norm(targets)
-    if denom == 0.0:
-        raise ValueError("rse undefined for all-zero targets")
-    return sq_norm(predictions - targets) / denom
 
 
 def select_activation(

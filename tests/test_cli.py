@@ -709,6 +709,19 @@ _MLP_MODEL_TEXT = json.dumps(
 )
 
 
+_HYBRID_MODEL_TEXT = json.dumps(
+    {
+        "format_version": 1,
+        "input_dim": 1,
+        "output_dim": 1,
+        "grades": [
+            {"weight": [[1.0, -1.0]], "bias": [0.0], "mu": 0, "activation": {"kind": "relu", "params": {}}},
+        ],
+        "hybrid_head": {"layers": json.loads(_MLP_MODEL_TEXT)["layers"]},
+    }
+)
+
+
 def test_eval_malformed_model_exits_with_2(tmp_path, capsys):
     cfg_path = write_config(tmp_path, sal_doc())
     grade = ["grades", 0]
@@ -718,12 +731,19 @@ def test_eval_malformed_model_exits_with_2(tmp_path, capsys):
     basis = [{"kind": "relu"}, {"kind": "tanh"}]
     mixed = {"kind": "combination", "params": {"weights": [0.5, 1], "basis": basis}}
     mix_bool = {"kind": "combination", "params": {"weights": [0.5, True], "basis": basis}}
+    smoothed = json.loads(_smoothed_model_text())["grades"][0]
+    # a second grade reads the first's 3 features; 2 inputs fit neither that nor input_dim 1
+    two_grades = _edited_model_text(["grades"], [smoothed, {**smoothed, "weight": [[1.0, 2.0, 3.0]] * 3}])
+    two_inputs = {**smoothed, "weight": [[1.0, 2.0]] * 3}
+    head_out2 = {"weight": [[0.5, 0.5]] * 2, "bias": [0.1, 0.1], "activation": {"kind": "identity"}}
     well_formed = (
         _smoothed_model_text(renormalize=True),
         _smoothed_model_text(window_mode=grid_steps),
         _edited_model_text(grade + ["activation"], leaky),
         _edited_model_text(grade + ["activation"], mixed),
         _MLP_MODEL_TEXT,
+        _HYBRID_MODEL_TEXT,
+        two_grades,
     )
     for i, text in enumerate(well_formed):
         good = tmp_path / f"good{i}.json"
@@ -761,6 +781,16 @@ def test_eval_malformed_model_exits_with_2(tmp_path, capsys):
         ("mix_bool.json", _edited_model_text(grade + ["activation"], mix_bool)),
         ("mlp_weight_string.json", _edited_model_text(["layers", 0, "weight", 1, 0], "-1.0", _MLP_MODEL_TEXT)),
         ("mlp_bias_bool.json", _edited_model_text(["layers", 1, "bias", 0], True, _MLP_MODEL_TEXT)),
+        # one format_version and two kinds, for cascades and MLPs alike
+        ("mlp_version.json", _edited_model_text(["format_version"], 7, _MLP_MODEL_TEXT)),
+        ("kind.json", _edited_model_text(["kind"], "cascade")),
+        # widths and dims that do not follow from the layer before
+        ("no_grades.json", _edited_model_text(["grades"], [])),
+        ("grade_width.json", _edited_model_text(["grades", 1], two_inputs, two_grades)),
+        ("first_width.json", _edited_model_text(grade + ["weight"], two_inputs["weight"])),
+        ("head_outputs.json", _edited_model_text(["hybrid_head", "layers", 1], head_out2, _HYBRID_MODEL_TEXT)),
+        ("head_inputs.json", _edited_model_text(["hybrid_head", "layers", 0, "weight"], [[1.0, 1.0]] * 2,
+                                                _HYBRID_MODEL_TEXT)),
     )
     for name, text in cases:
         path = tmp_path / name

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sal_learn import mlp
+from sal_learn import mlp, reporting
 from sal_learn.data import Dataset
 from sal_learn.model import IDENTITY, RELU, SINCOS_HALF, TANH, Activation
 from sal_learn.rng import SplitMix64
@@ -219,7 +219,7 @@ def test_train_ssg_reports_test_metric():
 
 def test_mlp_serialization_roundtrip():
     params = mlp.he_init(1, [5, 4], 2, [RELU, SINCOS_HALF], SplitMix64(6))
-    clone = mlp.MlpParams.from_dict(params.to_dict())
+    clone = reporting.model_from_dict(reporting.model_to_dict(params))
     x = np.linspace(-1, 1, 9)[:, None]
     assert np.allclose(params.predict(x), clone.predict(x), atol=0)
     assert clone.structure() == "5-4"

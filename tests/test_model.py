@@ -29,11 +29,10 @@ from sal_learn.model import (
     inner_product,
     _row_blocks,
     leaky_relu,
-    model_from_dict,
-    model_to_dict,
     norm,
     sq_norm,
 )
+from sal_learn.reporting import model_from_dict, model_to_dict
 
 
 def test_pool_apply_hand_example():

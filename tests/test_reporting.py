@@ -83,12 +83,197 @@ def test_mlp_save_load_dispatch_and_idempotent_bytes(tmp_path):
     params, _ = mlp.train_ssg(ds, mlp.MlpTrainConfig(widths=[4], epochs=5, seed=2))
     p1 = tmp_path / "a.json"
     p2 = tmp_path / "b.json"
-    reporting.save_mlp(params, p1)
+    reporting.save_model(params, p1)
     clone = reporting.load_model(p1)
     assert isinstance(clone, mlp.MlpParams)
     assert np.array_equal(clone.predict(ds.inputs), params.predict(ds.inputs))
-    reporting.save_mlp(clone, p2)
+    reporting.save_model(clone, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# Model files as the format writes them: a cascade with a renormalized
+# smoothed grade and a leaky_relu grade, a combination grade on a hybrid
+# head, and a baseline MLP.
+GOLDEN_CASCADE = """\
+{
+ "format_version": 1,
+ "input_dim": 1,
+ "output_dim": 1,
+ "grades": [
+  {
+   "weight": [
+    [
+     0.33333333333333331
+    ]
+   ],
+   "bias": [
+    0.10000000000000001
+   ],
+   "mu": 0,
+   "activation": {
+    "kind": "relu",
+    "params": {}
+   },
+   "smoothing": {
+    "tau": 0.050000000000000003,
+    "window_mode": {
+     "mode": "grid_steps",
+     "count": 4,
+     "step": 0.01
+    },
+    "M": 5,
+    "renormalize": true
+   }
+  },
+  {
+   "weight": [
+    [
+     -2
+    ],
+    [
+     2.0000000000000001e-300
+    ]
+   ],
+   "bias": [
+    0,
+    -0.10000000000000001
+   ],
+   "mu": 1,
+   "activation": {
+    "kind": "leaky_relu",
+    "params": {
+     "slope": 0.20000000000000001
+    }
+   },
+   "smoothing": {
+    "tau": 0
+   }
+  }
+ ]
+}
+"""
+
+GOLDEN_HYBRID = """\
+{
+ "format_version": 1,
+ "input_dim": 1,
+ "output_dim": 1,
+ "grades": [
+  {
+   "weight": [
+    [
+     0.33333333333333331
+    ]
+   ],
+   "bias": [
+    0.20000000000000001
+   ],
+   "mu": 0,
+   "activation": {
+    "kind": "combination",
+    "params": {
+     "weights": [
+      0.5,
+      0.25
+     ],
+     "basis": [
+      {
+       "kind": "relu",
+       "params": {}
+      },
+      {
+       "kind": "tanh",
+       "params": {}
+      }
+     ]
+    }
+   },
+   "smoothing": {
+    "tau": 0
+   }
+  }
+ ],
+ "hybrid_head": {
+  "layers": [
+   {
+    "weight": [
+     [
+      -0.33333333333333331
+     ]
+    ],
+    "bias": [
+     0.10000000000000001
+    ],
+    "activation": {
+     "kind": "relu",
+     "params": {}
+    }
+   },
+   {
+    "weight": [
+     [
+      0.5
+     ]
+    ],
+    "bias": [
+     -1
+    ],
+    "activation": {
+     "kind": "identity",
+     "params": {}
+    }
+   }
+  ]
+ }
+}
+"""
+
+GOLDEN_MLP = """\
+{
+ "format_version": 1,
+ "kind": "mlp",
+ "layers": [
+  {
+   "weight": [
+    [
+     0.33333333333333331,
+     -0.10000000000000001
+    ]
+   ],
+   "bias": [
+    0
+   ],
+   "activation": {
+    "kind": "tanh",
+    "params": {}
+   }
+  },
+  {
+   "weight": [
+    [
+     1
+    ]
+   ],
+   "bias": [
+    0.001
+   ],
+   "activation": {
+    "kind": "identity",
+    "params": {}
+   }
+  }
+ ]
+}
+"""
+
+
+@pytest.mark.parametrize("text", [GOLDEN_CASCADE, GOLDEN_HYBRID, GOLDEN_MLP], ids=["cascade", "hybrid", "mlp"])
+def test_model_file_bytes_are_pinned(tmp_path, text):
+    src = tmp_path / "golden.json"
+    src.write_text(text)
+    out = tmp_path / "resaved.json"
+    reporting.save_model(reporting.load_model(src), out)
+    assert out.read_text() == text
 
 
 def test_model_json_rejects_non_finite():

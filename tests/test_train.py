@@ -7,7 +7,7 @@ from sal_learn import mlp, qp, smoothing
 from sal_learn import train as train_mod
 from sal_learn.data import Dataset, make_test, make_train, target_nondiff, target_oscillatory
 from sal_learn.model import BLOCK_ROWS, IDENTITY, RELU, SINCOS_HALF, TANH, Activation, Model, Pooling, sq_norm
-from sal_learn.model import model_to_dict
+from sal_learn.reporting import model_to_dict
 from sal_learn.train import (
     GradeConfig,
     TrainConfig,
