@@ -8,6 +8,13 @@ Nesterov's accelerated gradient with a constant 1/L step solves it
 iteratively; a direct two-stage oracle (unconstrained least squares by
 conjugate gradient on the normal equations, then a minimum-norm lift through
 the pooling matrix) provides the exact answer for ridge = 0.
+
+With one pooled output (t = 1) P = (1/n) 1^T, n = mu + 1, sees only the mean
+row u of W and the mean beta of b, and every row of the W gradient is the
+same vector.  The accelerated iteration then runs on (u, beta) alone, a
+least-squares fit in p + 1 unknowns (see _mean_row_solve); it takes the
+full iteration's steps, up to rounding, at two (m x p) matrix-vector
+products per step.
 """
 
 from __future__ import annotations
@@ -154,12 +161,14 @@ class SolverConfig:
     coming from the package PRNG with ``init_seed`` and biases starting at
     zero.  The fitted pooled predictions do not depend on the start — only
     which of the many exact minimizers the iteration settles near, and
-    hence the feature map handed to the next grade, does.  With narrow
-    pooled outputs the zero start collapses all weight rows to a common
-    value (the gradient of the pooled objective is row-constant), which
-    starves later grades of features; the random starts keep the rows
-    distinct.  "randn" deliberately skips the variance-preserving scale so
-    that oscillatory activations compound frequency grade over grade.
+    hence the feature map handed to the next grade, does.  With a single
+    pooled output the gradient of the pooled objective is row-constant, so
+    the iteration moves only the mean row and the zero start collapses all
+    weight rows to a common value, which starves later grades of features;
+    the random starts keep the rows distinct (their deviations from the
+    mean row stay as drawn, only shrunk by a ridge).  "randn" deliberately
+    skips the variance-preserving scale so that oscillatory activations
+    compound frequency grade over grade.
     ``init_scale`` multiplies the draw's standard deviation; with an
     oscillatory activation on the first grade it sets the frequency band
     the random features cover, which is how a narrowband target (a carrier
@@ -207,7 +216,9 @@ def nesterov_solve(problem: Problem, cfg: SolverConfig) -> tuple[np.ndarray, np.
 
     Stops when the relative objective change between consecutive iterates
     drops below cfg.epsilon, or at max_iters.  The trace, when recorded,
-    holds J at every iterate starting from the initial point.
+    holds J at every iterate starting from the initial point.  A problem
+    with one pooled output runs the same iteration on its mean row
+    (_mean_row_solve).
     """
     if cfg.method != "nesterov":
         raise ValueError("nesterov_solve needs cfg.method == 'nesterov'")
@@ -222,6 +233,8 @@ def nesterov_solve(problem: Problem, cfg: SolverConfig) -> tuple[np.ndarray, np.
     else:
         w = np.zeros(shape)
         b = np.zeros(shape[0])
+    if problem.pooling.out_dim == 1:
+        return _mean_row_solve(problem, cfg, lip, w, b)
     w_prev, b_prev = w, b
     yw, yb = w, b
     t_mom = 1.0
@@ -260,6 +273,94 @@ def nesterov_solve(problem: Problem, cfg: SolverConfig) -> tuple[np.ndarray, np.
         lipschitz=lip,
     )
     return w_prev, b_prev, stats
+
+
+def _mean_row_solve(
+    problem: Problem, cfg: SolverConfig, lip: float, w: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, SolveStats]:
+    """nesterov_solve's iteration for one pooled output, from the start (w, b).
+
+    The pooled prediction at phi is u.phi + beta, with u the mean row of W
+    and beta the mean of b, so the residual r depends on (u, beta) alone.
+    A full step adds (2/(nL)) F^T r to every row of W and (2/(nL)) sum(r)
+    to every entry of b, and scales both by 1 - 2*ridge/L.  So the
+    deviations D = W0 - 1 u0^T and d = b0 - beta0 1 of the start only scale,
+    all by one factor s (exactly 1 at ridge 0), and the iterate
+    theta = (u, beta, s) carries the whole state:
+
+        J = ||y - F u - beta||^2 + ridge * (n ||u||^2 + n beta^2 + s^2 (||D||^2 + ||d||^2))
+
+    The momentum is linear, so F u at the extrapolated point is the same
+    combination of F u at the last two iterates: each step makes one
+    product with F and one with F^T.  The result is W = s D + 1 u^T,
+    b = s d + beta 1, the full iteration's iterate up to rounding.
+    """
+    n = problem.pooling.in_dim
+    feats = problem.features
+    y = problem.targets[:, 0]
+    ridge = problem.ridge
+    p = problem.n_features
+    u = w.mean(axis=0)
+    beta = float(b.mean())
+    dev_w = w - u
+    dev_b = b - beta
+    dev_sq = float(np.sum(dev_w * dev_w)) + float(np.sum(dev_b * dev_b))
+    step = 2.0 / (n * lip)
+    shrink = 1.0 - 2.0 * ridge / lip
+
+    def objective_at(theta, fu):
+        r = y - fu
+        r -= theta[p]
+        total = float(r @ r)
+        if ridge > 0.0:
+            mean_sq = float(theta[: p + 1] @ theta[: p + 1])
+            total += ridge * (n * mean_sq + theta[p + 1] ** 2 * dev_sq)
+        return total
+
+    theta = np.concatenate([u, [beta, 1.0]])
+    fu = feats @ u
+    theta_prev, fu_prev = theta, fu
+    theta_y, fu_y = theta, fu
+    t_mom = 1.0
+    j_prev = objective_at(theta, fu)
+    trace = [j_prev] if cfg.record_trace else None
+    iterations = 0
+    stop_reason = "max_iters"
+    j_val = j_prev
+    for it in range(1, cfg.max_iters + 1):
+        r = y - fu_y
+        r -= theta_y[p]
+        theta_new = shrink * theta_y
+        theta_new[:p] += step * (r @ feats)
+        theta_new[p] += step * float(r.sum())
+        fu_new = feats @ theta_new[:p]
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
+        coef = (t_mom - 1.0) / t_next
+        theta_y = theta_new + coef * (theta_new - theta_prev)
+        fu_y = fu_new + coef * (fu_new - fu_prev)
+        j_val = objective_at(theta_new, fu_new)
+        if not math.isfinite(j_val):
+            raise RuntimeError(
+                f"non-finite objective at iteration {it} (bad step size or data)"
+            )
+        if trace is not None:
+            trace.append(j_val)
+        theta_prev, fu_prev = theta_new, fu_new
+        t_mom = t_next
+        iterations = it
+        if abs(j_val - j_prev) / max(abs(j_prev), 1e-30) < cfg.epsilon:
+            stop_reason = "epsilon"
+            break
+        j_prev = j_val
+    stats = SolveStats(
+        iterations=iterations,
+        final_objective=j_val,
+        stop_reason=stop_reason,
+        objective_trace=trace,
+        lipschitz=lip,
+    )
+    s = theta_prev[p + 1]
+    return s * dev_w + theta_prev[:p], s * dev_b + theta_prev[p], stats
 
 
 def _cg(mat: np.ndarray, rhs: np.ndarray, tol_rel: float, max_iters: int):

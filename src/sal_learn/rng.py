@@ -19,6 +19,7 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_LOG, _SIN, _COS = (np.frompyfunc(f, 1, 1) for f in (math.log, math.sin, math.cos))
 
 
 class SplitMix64:
@@ -66,4 +67,24 @@ class SplitMix64:
         return r * math.cos(2.0 * math.pi * u2)
 
     def standard_normals(self, n: int) -> np.ndarray:
-        return np.array([self.standard_normal() for _ in range(n)], dtype=float)
+        """n calls of standard_normal() at once: the same doubles, the same
+        state and the same spare after.  log, sin and cos go through the
+        math module element by element (np.log can differ from libm's in
+        the last bit); the other steps are correctly rounded either way."""
+        out = np.empty(n)
+        start = 0
+        if n and self._spare_normal is not None:
+            out[0], self._spare_normal = self._spare_normal, None
+            start = 1
+        pairs = (n - start + 1) // 2
+        u = self.uniforms(2 * pairs)
+        u1 = 1.0 - u[0::2]
+        angle = 2.0 * math.pi * u[1::2]
+        r = np.sqrt(-2.0 * _LOG(u1).astype(float))
+        cos = r * _COS(angle).astype(float)
+        sin = r * _SIN(angle).astype(float)
+        out[start::2] = cos
+        out[start + 1 :: 2] = sin[: (n - start) // 2]
+        if (n - start) % 2:
+            self._spare_normal = float(sin[-1])
+        return out

@@ -85,6 +85,11 @@ class Smoother:
             raise ValueError("quad_points must be >= 2")
         if half_width(self) <= 0.0:
             raise ValueError("window half-width must be positive")
+        if self.renormalize and not _peak_weight(self) > 0.0:
+            raise ValueError(
+                "renormalized smoothing weights sum to 0: every node lies too far from"
+                " the query point for tau"
+            )
 
 
 def gaussian(u: np.ndarray | float) -> np.ndarray | float:
@@ -105,8 +110,21 @@ def half_width(sm: Smoother) -> float:
     return w.factor * sm.tau
 
 
+def _peak_weight(sm: Smoother) -> float:
+    """The largest of the formula's weights (before renormalizing), computed
+    as quadrature computes it, at the nodes nearest the query point
+    (i = M//2 and M//2 + 1); it underflows to 0 beyond about 38 tau, and
+    then so does every weight."""
+    h = half_width(sm)
+    m = sm.quad_points
+    delta = 2.0 * h / m
+    offsets = -h + delta * np.arange(m // 2, m // 2 + 2)
+    return float(np.max(delta * np.asarray(gaussian_eval(sm.tau, offsets))))
+
+
 def quadrature(sm: Smoother) -> tuple[np.ndarray, np.ndarray]:
-    """Node offsets (y_i - x) and weights; weights are strictly positive."""
+    """Node offsets (y_i - x) and weights.  Renormalized weights are divided
+    by their sum, which Smoother checks is positive."""
     h = half_width(sm)
     m = sm.quad_points
     delta = 2.0 * h / m

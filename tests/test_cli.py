@@ -772,6 +772,9 @@ def test_eval_malformed_model_exits_with_2(tmp_path, capsys):
         ("factor_bool.json", _smoothed_model_text(window_mode={"mode": "tau_multiples", "factor": True})),
         ("tau_string.json", _smoothed_model_text(tau="0.05")),
         ("tau_bool.json", _smoothed_model_text(tau=False)),
+        # renormalized weights that underflow to a zero sum (nodes at -6..10, tau 0.05)
+        ("zero_weights.json", _smoothed_model_text(
+            renormalize=True, window_mode={**grid_steps, "step": 2.5}, M=5)),
         ("input_dim_string.json", _edited_model_text(["input_dim"], "1")),
         ("output_dim_fraction.json", _edited_model_text(["output_dim"], 1.5)),
         ("weight_string.json", _edited_model_text(grade + ["weight", 0, 0], "1.0")),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import nesterov_reference as nesterov_ref
 import pooling_reference as pool_ref
 from sal_learn.model import Pooling
 from sal_learn.rng import SplitMix64
@@ -372,3 +373,91 @@ def test_ridge_shrinks_weights():
     norm_f = np.sum(wf * wf) + np.sum(bf * bf)
     norm_r = np.sum(wr * wr) + np.sum(br * br)
     assert norm_r < norm_f
+
+
+def _assert_close(got, want):
+    # entries of W that cancel to near zero keep the rounding of their
+    # larger terms, so the tolerance is relative to the largest entry too
+    got, want = np.asarray(got), np.asarray(want)
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
+
+
+def slow_single_output_problem(mu, ridge):
+    # monomial features are badly conditioned, so the objective still falls
+    # well above rounding when either stop fires, and a rounding difference
+    # cannot move the stop
+    x = np.linspace(0.0, 1.0, 60)
+    feats = x[:, None] ** np.arange(1, 8)
+    targets = np.abs(x - 0.3)[:, None]
+    return qp.assemble(feats, targets, Pooling(out_dim=1, mu=mu), ridge=ridge)
+
+
+@pytest.mark.parametrize("ridge", [0.0, 0.3])
+@pytest.mark.parametrize("init", ["zero", "he", "randn"])
+@pytest.mark.parametrize("mu", [0, 2, 99])
+def test_single_output_mean_row_matches_full_iteration(ridge, init, mu):
+    # one pooled output runs on the mean row; it must take the full
+    # iteration's steps: the same count and stop, the same iterates and
+    # trace up to rounding
+    prob = slow_single_output_problem(mu, ridge)
+    for epsilon, max_iters in ((1e-4, 400), (1e-16, 30)):
+        cfg = qp.SolverConfig(
+            epsilon=epsilon, max_iters=max_iters, ridge=ridge, init=init, init_seed=4,
+            record_trace=True,
+        )
+        w, b, stats = qp.nesterov_solve(prob, cfg)
+        w0, b0, stats0 = nesterov_ref.nesterov_solve(prob, cfg)
+        assert (stats.iterations, stats.stop_reason) == (stats0.iterations, stats0.stop_reason)
+        assert stats.lipschitz == stats0.lipschitz
+        assert w.shape == w0.shape and b.shape == b0.shape
+        _assert_close(w, w0)
+        _assert_close(b, b0)
+        _assert_close(stats.objective_trace, stats0.objective_trace)
+        assert stats.final_objective == stats.objective_trace[-1]
+        assert qp.objective(prob, w, b) == pytest.approx(stats.final_objective, rel=1e-10)
+    assert stats.stop_reason == "max_iters"
+
+
+def test_single_output_mean_row_at_the_kinked_shape():
+    # 1001 rows, 100 features, 100 inputs to one output, a capped randn solve
+    rng = SplitMix64(17)
+    feats = np.sin(rng.standard_normals(1001 * 100).reshape(1001, 100))
+    targets = np.abs(np.linspace(-1.0, 1.0, 1001))[:, None]
+    prob = qp.assemble(feats, targets, Pooling(out_dim=1, mu=99))
+    cfg = qp.SolverConfig(epsilon=1e-7, max_iters=250, init="randn", record_trace=True)
+    w, b, stats = qp.nesterov_solve(prob, cfg)
+    w0, b0, stats0 = nesterov_ref.nesterov_solve(prob, cfg)
+    assert (stats.iterations, stats.stop_reason) == (stats0.iterations, stats0.stop_reason)
+    _assert_close(w, w0)
+    _assert_close(b, b0)
+    _assert_close(stats.objective_trace, stats0.objective_trace)
+
+
+@pytest.mark.parametrize("t", [2, 20])
+@pytest.mark.parametrize("ridge", [0.0, 0.3])
+def test_wide_pooling_runs_the_full_iteration_bit_for_bit(t, ridge):
+    prob = small_problem(m=30, p=5, in_dim=t + 6, t=t, ridge=ridge, seed=9)
+    cfg = qp.SolverConfig(epsilon=1e-12, max_iters=80, ridge=ridge, init="randn", record_trace=True)
+    w, b, stats = qp.nesterov_solve(prob, cfg)
+    w0, b0, stats0 = nesterov_ref.nesterov_solve(prob, cfg)
+    assert np.array_equal(w, w0) and np.array_equal(b, b0)
+    assert stats == stats0
+
+
+def test_single_output_iteration_never_pools(monkeypatch):
+    prob = small_problem(m=20, p=4, in_dim=6, t=1, seed=5)
+    lip = qp.lipschitz_bound(prob)
+    cfg = qp.SolverConfig(epsilon=1e-12, max_iters=50, init="he")
+    want = qp.nesterov_solve(prob, cfg)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pooling called by the single-output iteration")
+
+    monkeypatch.setattr(qp, "lipschitz_bound", lambda problem, safety=1.0: lip)
+    for name in ("apply", "adjoint"):
+        monkeypatch.setattr(Pooling, name, refuse)
+    for name in ("residual", "objective", "gradient"):
+        monkeypatch.setattr(qp, name, refuse)
+    w, b, stats = qp.nesterov_solve(prob, cfg)
+    assert np.array_equal(w, want[0]) and np.array_equal(b, want[1])
+    assert stats == want[2]

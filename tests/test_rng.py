@@ -97,3 +97,20 @@ def test_uniforms_equal_repeated_uniform(seed, n):
 
 def test_uniforms_seed1_frozen():
     assert SplitMix64(1).uniforms(3).tolist() == SEED1_UNIFORM
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 12345, 2**64 - 1])
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 10, 1001])
+def test_standard_normals_equal_repeated_standard_normal(seed, n):
+    # the bulk draw, between single draws that leave and take a spare, gives
+    # the scalar stream's doubles bit for bit and the same state and spare
+    bulk, one = SplitMix64(seed), SplitMix64(seed)
+    got = [bulk.standard_normal()]
+    got += bulk.standard_normals(n).tolist()
+    got.append(bulk.standard_normal())
+    got += bulk.standard_normals(n + 1).tolist()
+    got.append(bulk.standard_normal())
+    want = [one.standard_normal() for _ in range(2 * n + 4)]
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    assert bulk.state == one.state
+    assert bulk.standard_normal() == one.standard_normal()

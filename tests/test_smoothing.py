@@ -8,6 +8,7 @@ from sal_learn.smoothing import (
     GridSteps,
     Smoother,
     TauMultiples,
+    _peak_weight,
     gaussian,
     gaussian_eval,
     half_width,
@@ -59,6 +60,17 @@ def test_window_validation():
         TauMultiples(0.0)
     with pytest.raises(ValueError):
         Smoother(tau=1e-3, window=TauMultiples(6.0), quad_points=1)  # M >= 2
+
+
+def test_renormalized_weights_must_not_sum_to_zero():
+    # nodes at -6, -2, 2, 6, 10: beyond about 38 tau every weight underflows
+    far = dict(tau=0.05, window=GridSteps(4, 2.5), quad_points=5)
+    assert not quadrature(Smoother(**far))[1].any()
+    with pytest.raises(ValueError, match="sum to 0"):
+        Smoother(**far, renormalize=True)
+    # one node within reach is enough, and its weight is then 1
+    near = Smoother(tau=0.01, window=GridSteps(4, 0.5), quad_points=4, renormalize=True)
+    assert quadrature(near)[1].tolist() == [0.0, 1.0, 0.0, 0.0]
 
 
 def test_node_layout_matches_formula():
@@ -209,3 +221,11 @@ def test_window_from_dict_rejects_unknown_mode_and_missing_field():
         window_from_dict({"mode": "boxcar"})
     with pytest.raises(KeyError):
         window_from_dict({"mode": "grid_steps", "count": 3})
+
+
+@pytest.mark.parametrize("quad_points", [2, 3, 4, 5, 200, 201])
+@pytest.mark.parametrize("tau", [1e-3, 0.05, 1.0])
+def test_peak_weight_is_the_largest_quadrature_weight(quad_points, tau):
+    for window in (GridSteps(4, 0.01), GridSteps(4, 2.5), TauMultiples(6.0), TauMultiples(40.0)):
+        sm = Smoother(tau=tau, window=window, quad_points=quad_points)
+        assert _peak_weight(sm) == quadrature(sm)[1].max()
