@@ -451,7 +451,7 @@ def test_single_output_iteration_never_pools(monkeypatch):
     want = qp.nesterov_solve(prob, cfg)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("pooling called by the single-output iteration")
+        raise AssertionError("the single-output iteration pooled or took a full-(W, b) step")
 
     monkeypatch.setattr(qp, "lipschitz_bound", lambda problem, safety=1.0: lip)
     for name in ("apply", "adjoint"):
