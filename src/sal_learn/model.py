@@ -10,6 +10,7 @@ feed grade k+1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -24,11 +25,6 @@ BLOCK_ROWS = 4096
 # Fewest rows a node plan runs the chain over in one group (see
 # Model._planned_components): a smaller group joins the next deeper one.
 MIN_GROUP_ROWS = 512
-
-# Rows per block of pooling with more than one output: a block's window-major
-# work arrays (the window columns by 512 rows) stay in cache, and no array of
-# the full row count is allocated besides the result.
-WINDOW_ROWS = 512
 
 _BASE_KINDS = ("identity", "relu", "leaky_relu", "tanh", "sincos_half")
 
@@ -130,153 +126,25 @@ def combination(weights, basis) -> Activation:
     )
 
 
-def _pairwise_lead(n: int) -> int:
-    """Length of the leading block that NumPy's float64 pairwise sum of n
-    contiguous values adds in 8 interleaved partial sums (0 for n < 8, which
-    NumPy adds one by one)."""
-    while n > 128:
-        n = n // 2 - (n // 2) % 8
-    return n - n % 8
-
-
-class _Work:
-    """Work arrays of one pooling call, each made once and reused by every
-    row block: get(key, height) is a C-contiguous (height, rows) view sized
-    for the current block's row count."""
-
-    def __init__(self, rows: int):
-        self.cap = self.rows = rows
-        self._flat: dict[Any, np.ndarray] = {}
-
-    def get(self, key: Any, height: int) -> np.ndarray:
-        flat = self._flat.get((key, height))
-        if flat is None:
-            flat = self._flat[key, height] = np.empty(height * self.cap)
-        return flat[: height * self.rows].reshape(height, self.rows)
-
-
-class _Rows:
-    """Window-major operand z of one row block: row i of z holds entry i of
-    every block row.  Only z[lo : lo + len(data)] is stored, as data; every
-    other row of z is zero (the adjoint's zero padding) and is never added
-    (see Pooling.adjoint for why that keeps every bit)."""
-
-    def __init__(self, data: np.ndarray, lo: int = 0):
-        self.data, self.lo = data, lo
-
-    def _span(self, i: int, size: int) -> tuple[int, int]:
-        """The stored rows of z[i : i+size], as a range within that slice."""
-        a = min(max(self.lo - i, 0), size)
-        return a, max(a, min(self.lo + len(self.data) - i, size))
-
-    def copy_to(self, dst: np.ndarray, i: int) -> None:
-        """dst[:] = z[i : i+len(dst)]."""
-        a, b = self._span(i, len(dst))
-        dst[:a] = 0.0
-        dst[a:b] = self.data[i + a - self.lo : i + b - self.lo]
-        dst[b:] = 0.0
-
-    def add_to(self, dst: np.ndarray, i: int) -> None:
-        """dst += z[i : i+len(dst)], with the zero rows left out."""
-        a, b = self._span(i, len(dst))
-        if a < b:
-            dst[a:b] += self.data[i + a - self.lo : i + b - self.lo]
-
-
-def _replay(z: _Rows, first: int, n: int, out: np.ndarray, work: _Work, depth: int = 0) -> None:
-    """out[c] = NumPy's float64 pairwise sum of z[first+c : first+c+n] for
-    every window c < len(out), each step one contiguous add over every
-    window and every block row.
-
-    The order is that of NumPy's reduction loop: below 8 values it adds them
-    one by one to 0.0; up to 128 it runs 8 interleaved partial sums over the
-    leading multiple of 8, combines them as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
-    and adds the tail one by one; above 128 it sums the two halves split at
-    n//2 rounded down to a multiple of 8 and adds them.  Lane j of window c
-    is row c+j of the accumulator acc, so one acc serves every window.
-    """
-    count = len(out)
-    if n < 8:
-        out.fill(0.0)
-        for i in range(first, first + n):
-            z.add_to(out, i)
-        return
-    if n > 128:
-        half = n // 2 - (n // 2) % 8
-        _replay(z, first, half, out, work, depth + 1)
-        right = work.get(("half", depth), count)
-        _replay(z, first + half, n - half, right, work, depth + 1)
-        out += right
-        return
-    lead = n - n % 8
-    acc = work.get("acc", count + 7)
-    z.copy_to(acc, first)
-    for i in range(first + 8, first + lead, 8):
-        z.add_to(acc, i)
-    lane = [acc[j : j + count] for j in range(8)]
-    pair, right = work.get("pair", count), work.get("right", count)
-    np.add(lane[0], lane[1], out=out)
-    out += np.add(lane[2], lane[3], out=pair)
-    np.add(lane[4], lane[5], out=right)
-    right += np.add(lane[6], lane[7], out=pair)
-    out += right
-    for i in range(first + lead, first + n):
-        z.add_to(out, i)
-
-
-def _window_major(
-    x: np.ndarray, width: int, n: int, pad: int, spans: Sequence[tuple[int, int]], finish=None
-) -> np.ndarray:
-    """Rows of width `width`, one per row of x (every leading index), made
-    one block of WINDOW_ROWS rows at a time.  The block is transposed into a
-    (dim, rows) work array, which stands at z[pad : pad+dim] of an operand z
-    that is +0.0 elsewhere.  For each column span [first, stop) the window
-    sums of z[c : c+n] are replayed window-major, and their quotients by n
-    are transposed back into those columns of the block's result, which
-    finish(out_block), if given, then completes."""
-    rows = x.reshape(-1, x.shape[-1])
-    out = np.empty((rows.shape[0], width))
-    work = _Work(min(rows.shape[0], WINDOW_ROWS))
-    for r in range(0, rows.shape[0], WINDOW_ROWS):
-        block, out_block = rows[r : r + WINDOW_ROWS], out[r : r + WINDOW_ROWS]
-        work.rows = len(block)
-        src = work.get("src", block.shape[1])
-        for c in range(0, len(block), 64):  # 64-row tiles transpose about 1.6x faster
-            np.copyto(src[:, c : c + 64], block[c : c + 64].T)
-        z = _Rows(src, pad)
-        for first, stop in spans:
-            res = work.get(("res", first), stop - first)
-            _replay(z, first, n, res, work)
-            res += 0.0  # the reduction's identity, which turns a -0.0 total into +0.0
-            np.divide(res.T, n, out=out_block[:, first:stop])
-        if finish is not None:
-            finish(out_block)
-    return out.reshape(x.shape[:-1] + (width,))
+def _product(a: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """a @ mat over the last axis of a, as one 2-D product of all its rows."""
+    rows = a.reshape(-1, a.shape[-1]) @ mat
+    return rows.reshape(a.shape[:-1] + (mat.shape[1],))
 
 
 @dataclass(frozen=True)
 class Pooling:
     """Sliding-window average over mu+1 entries, stride 1: R^(d+mu) -> R^d.
 
-    The induced matrix has rows of mu+1 copies of 1/(mu+1) shifted one step
-    per row; it always has full row rank, and mu=0 is the identity.
+    The induced matrix P has rows of mu+1 copies of 1/(mu+1) shifted one
+    step per row; it always has full row rank, and mu=0 is the identity.
 
-    Both directions give the bits of NumPy's float64 pairwise reduction of
-    every window (tests/pooling_reference.py).  For out_dim > 1 they replay
-    that reduction's order window-major, one block of WINDOW_ROWS rows at a
-    time: the block is transposed into a (dim, rows) work array, in which
-    entry i of every row is one contiguous row, so each replay step is one
-    contiguous add over every window and every block row, a few dozen adds
-    in all; the sums are then transposed back.  The replay adds the same
-    operands in the same order (the adjoint leaves out its zero padding,
-    see there), so every rounding, and the sign of every zero, is the same.
-    The work arrays (a few hundred KB) are made once per call, reused by
-    its blocks, and dropped with it; 512-row blocks keep them in cache.
-    Pooling runs only elementwise NumPy operations, never BLAS, so its bits
-    are the same on every BLAS build and CPU, and the BLAS products around
-    it in qp keep their operands and layout.  For out_dim == 1 each row has
-    a single window, its whole last axis, so one mean over that axis is
-    the reference reduction itself and about twice as fast as a replay.
+    apply is x @ P^T and adjoint is y @ P, each one BLAS product over every
+    leading row, with P made once per Pooling.  Their bits depend on the
+    BLAS build and on the row count of the product (see Model.run_chain).
+    mu=0 copies; for out_dim == 1 the one window is the whole last axis,
+    so apply is a mean over it and adjoint its repeat, elementwise NumPy
+    with the same bits on every build.
     """
 
     out_dim: int
@@ -292,81 +160,39 @@ class Pooling:
     def in_dim(self) -> int:
         return self.out_dim + self.mu
 
+    @cached_property
+    def _matrix(self) -> np.ndarray:
+        cols = np.arange(self.in_dim) - np.arange(self.out_dim)[:, None]
+        p = np.where((cols >= 0) & (cols <= self.mu), 1.0 / (self.mu + 1), 0.0)
+        p.flags.writeable = False
+        return p
+
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.in_dim:
             raise ValueError(f"pooling expects last dim {self.in_dim}, got {x.shape[-1]}")
         if self.mu == 0:
             return x.copy()
-        n = self.mu + 1
         if self.out_dim == 1:
             return x.mean(axis=-1, keepdims=True)
-        return _window_major(x, self.out_dim, n, 0, [(0, self.out_dim)])
+        return _product(x, self._matrix.T)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
-        """Apply the transpose of the induced matrix.
-
-        Column j of the result is the window sum of z[j : j+n] / n, where
-        n = mu+1 and z is y zero-padded by mu on each side, reduced by
-        NumPy's float64 pairwise sum.  Only the columns whose bits can
-        differ are summed (by the window-major replay); the others are
-        copies, so the result is bit for bit that of reducing every window.
-
-        The zero padding is never stored or added: each replay step adds
-        only the y rows its slice of z holds, and a step whose slice lies
-        wholly in the padding does nothing.  This is exact.  Adding a zero
-        to a nonzero value returns that value, and adding a zero to a zero
-        gives a zero, so leaving a zero term out can change only the sign of
-        a partial sum that is zero.  The sign of a zero never changes what
-        it adds up to with a nonzero value, so every nonzero partial sum,
-        and a nonzero total, keeps its bits.  A zero total is then added to
-        the reduction's identity +0.0, which makes it +0.0 whatever its
-        sign, as the full reduction does.
-
-        Why the copies are exact: over a contiguous axis NumPy adds the first
-        L positions in 8 interleaved partial sums, combines those as a fixed
-        tree, adds the tail, then adds the total to the identity 0.0 (for
-        n > 128 it first halves the axis into blocks of multiples of 8, and L
-        is the length of the leftmost block).  Column j's window holds y at
-        positions [mu-j, mu-j+t) and zeros elsewhere.  For an interior
-        column, lo <= j < hi with hi = mu+1 and lo = mu+t-L, those positions
-        lie inside [0, L).  Moving j by 8 puts every y entry into the same
-        partial sum in the same order and only changes how many +0.0 lead or
-        trail it in that partial sum; every partial sum that receives a y
-        entry still ends with a +0.0 after it, so even the sign of a zero
-        is kept.  The interior columns therefore repeat with period 8.
-        """
+        """Apply the transpose of the induced matrix."""
         y = np.asarray(y, dtype=float)
         if y.shape[-1] != self.out_dim:
             raise ValueError(f"adjoint expects last dim {self.out_dim}, got {y.shape[-1]}")
-        mu, t = self.mu, self.out_dim
-        if mu == 0:
+        if self.mu == 0:
             return y.copy()
-        n = mu + 1
-        if t == 1:
+        if self.out_dim == 1:
             # each window holds y among +0.0s, whose sum is exactly y + 0.0
             # (y / n + 0.0 would differ where y / n underflows to -0.0)
-            return np.repeat((y + 0.0) / n, n, axis=-1)
-        lo, hi = max(0, mu + t - _pairwise_lead(n)), n
-        if hi - lo <= 8:
-            return _window_major(y, t + mu, n, mu, [(0, t + mu)])
-        q, rem = divmod(hi - lo - 8, 8)
-
-        def copy_interior(out: np.ndarray) -> None:
-            reps = out[:, lo : lo + 8]
-            body = out[:, lo + 8 : lo + 8 + 8 * q].reshape(len(out), q, 8)
-            body[...] = reps[:, None, :]
-            out[:, hi - rem : hi] = reps[:, :rem]
-
-        spans = [(0, lo + 8)] + ([(hi, t + mu)] if hi < t + mu else [])
-        return _window_major(y, t + mu, n, mu, spans, copy_interior)
+            return np.repeat((y + 0.0) / (self.mu + 1), self.mu + 1, axis=-1)
+        return _product(y, self._matrix)
 
     def matrix(self) -> np.ndarray:
-        p = np.zeros((self.out_dim, self.in_dim))
-        w = 1.0 / (self.mu + 1)
-        for i in range(self.out_dim):
-            p[i, i : i + self.mu + 1] = w
-        return p
+        """P, read-only."""
+        return self._matrix
 
 
 @dataclass
@@ -499,15 +325,17 @@ class Model:
         features N_j come back as a Carry; a carry passed in is then
         consumed, since its array is overwritten when the widths agree.
         `select` maps some grades in `wanted` to a boolean mask over the
-        points: such a grade is pooled, and comes back, at the selected rows
-        only, in order.
+        points: such a grade comes back at the selected rows only, in order.
+        It is still pooled over its whole row block, and the selected rows
+        are taken from that, because the bits of the pooling product depend
+        on its row count: pooling only the selected rows could give them
+        other bits than a run without `select`.
 
         The call makes two work arrays per grade width, as long as the
         longest block, and every block and grade reuses them: the affine
         image goes into the first (np.matmul with out=, then += bias, as
-        qp.residual computes it); a selected grade's rows are compressed
-        into the second and pooled from there; the activation is then
-        written into the second (Activation.into), or, when it is N_keep,
+        qp.residual computes it); the activation is then written into the
+        second (Activation.into), or, when it is N_keep,
         straight into the block's rows of the kept features.  No array of
         a block's size is made per block, so none is returned to the kernel
         and faulted back in; the operations, hence the bits, are those of
@@ -556,8 +384,8 @@ class Model:
                     lo = filled[j]
                     filled[j] += np.count_nonzero(sel)
                     if filled[j] > lo:
-                        picked = np.compress(sel, pre, axis=0, out=act_buf[: filled[j] - lo])
-                        comps[j][lo : filled[j]] = g.pooling.apply(picked)
+                        pooled = g.pooling.apply(pre)
+                        np.compress(sel, pooled, axis=0, out=comps[j][lo : filled[j]])
                 elif j in comps:
                     comps[j][rows] = g.pooling.apply(pre)
                 if j + 1 == keep:

@@ -19,7 +19,7 @@ class GradeRecord:
     # SolveStats.stop_reason ("epsilon" | "max_iters" | "direct"); for a
     # hybrid head, the Adam run's ("epsilon" | "epochs")
     stop_reason: str = ""
-    note: str = ""  # fallbacks taken: a stagnated CG, a singular activation gram
+    note: str = ""  # a direct solve's cut ("rank r of p+1"), a singular activation gram
     objective: float | None = None  # SolveStats.final_objective
     lipschitz: float | None = None  # SolveStats.lipschitz (Nesterov grades only)
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 import chain_reference as ref
 import pooling_reference as pool_ref
@@ -20,7 +21,6 @@ from sal_learn.model import (
     RELU,
     SINCOS_HALF,
     TANH,
-    WINDOW_ROWS,
     Activation,
     Grade,
     Model,
@@ -87,7 +87,8 @@ def _assert_bits(got, want):
 
 
 def _spread(rng, shape):
-    """Normals times powers of ten, so that the summation order shows in the bits."""
+    """Normals times powers of ten, so that any change of the summation order
+    shows in the bits."""
     return rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, size=shape)
 
 
@@ -97,14 +98,14 @@ def _spread(rng, shape):
         (1001, 1, 99),  # the kinked desk grades
         (2001, 20, 108),  # the oscillatory desk grade
         (7, 3, 0),  # identity
-        (9, 4, 5),  # n < 8
-        (9, 2, 7),  # n = 8
-        (40, 30, 127),  # n = 128, one pairwise block
-        (40, 30, 128),  # n = 129, halved once
-        (40, 50, 299),  # n = 300, halved twice
-        (6, 40, 20),  # t >= mu + 1: no interior columns
-        (3, 113, 120),  # interior of 8 columns: reduced in full
-        (3, 112, 120),  # interior of 9 columns: one copy
+        (9, 4, 5),  # window of 6
+        (9, 2, 7),  # window of 8
+        (40, 30, 127),  # window of 128
+        (40, 30, 128),  # window of 129
+        (40, 50, 299),  # window of 300
+        (6, 40, 20),  # t >= mu + 1
+        (3, 113, 120),
+        (3, 112, 120),
     ],
 )
 def test_pool_adjoint_matches_reference_bits(m, t, mu):
@@ -123,21 +124,6 @@ def test_pool_adjoint_one_and_three_dim_inputs(t, mu):
     for shape in [(t,), (3, 4, t)]:
         y = _spread(rng, shape)
         _assert_bits(pool.adjoint(y), pool_ref.adjoint(pool, y))
-
-
-def test_pool_adjoint_keeps_signed_zeros():
-    rng = np.random.default_rng(5)
-    for t, mu in [(1, 99), (20, 108), (6, 40), (3, 200)]:
-        pool = Pooling(t, mu)
-        y = _spread(rng, (8, t))
-        y[0] = 0.0
-        y[1] = -0.0
-        y[2, ::2] = -0.0
-        y[3, 1::2] = 0.0
-        y[4] = np.where(rng.random(t) < 0.5, -0.0, 0.0)
-        got = pool.adjoint(y)
-        _assert_bits(got, pool_ref.adjoint(pool, y))
-        assert not np.any(got[:2])
 
 
 def test_pool_adjoint_single_output_matches_reference_bits():
@@ -167,19 +153,43 @@ def test_pool_adjoint_random_shapes_match_reference_bits():
         _assert_bits(pool.adjoint(y), pool_ref.adjoint(pool, y))
 
 
+def _window_sums(a, mu, pad):
+    """The sliding-window definition: every window of mu+1 entries of a's
+    last axis, zero-padded by `pad` on each side, summed and divided by mu+1."""
+    z = np.pad(a, [(0, 0)] * (a.ndim - 1) + [(pad, pad)])
+    return sliding_window_view(z, mu + 1, axis=-1).sum(axis=-1) / (mu + 1)
 
-_REPLAY_SHAPES = [
+
+def test_pool_products_match_the_window_sums():
+    # P's products against the definition itself, to rounding: within 1e-14
+    # of the largest entry of the exact result
+    rng = np.random.default_rng(2026)
+    shapes = [(1, 99), (1, 0), (20, 108), (5, 0), (3, 200), (40, 129)] + [
+        (int(rng.integers(1, 48)), int(rng.integers(0, 320))) for _ in range(200)
+    ]
+    for t, mu in shapes:
+        pool = Pooling(t, mu)
+        m = int(rng.integers(1, 40))
+        x = rng.standard_normal((m, pool.in_dim))
+        want = _window_sums(x, mu, 0)
+        assert np.max(np.abs(pool.apply(x) - want)) <= 1e-14 * np.max(np.abs(want))
+        y = rng.standard_normal((m, t))
+        want = _window_sums(y, mu, mu)
+        assert np.max(np.abs(pool.adjoint(y) - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+_WIDE_SHAPES = [
     (20, 108),  # the oscillatory desk grade
-    (4, 5),  # n < 8
-    (2, 7),  # n = 8
-    (30, 127),  # n = 128, one pairwise block
-    (30, 128),  # n = 129, halved once
-    (50, 299),  # n = 300, halved twice
+    (4, 5),
+    (2, 7),
+    (30, 127),
+    (30, 128),
+    (50, 299),
 ]
 
 
-@pytest.mark.parametrize("m", [WINDOW_ROWS - 1, WINDOW_ROWS, WINDOW_ROWS + 1, 2001])
-@pytest.mark.parametrize("t, mu", _REPLAY_SHAPES)
+@pytest.mark.parametrize("m", [512 - 1, 512, 512 + 1, 2001])
+@pytest.mark.parametrize("t, mu", _WIDE_SHAPES)
 def test_pool_replay_across_row_blocks_matches_reference_bits(m, t, mu):
     rng = np.random.default_rng(m * 1000 + t * 10 + mu)
     pool = Pooling(t, mu)
@@ -202,10 +212,9 @@ def test_pool_replay_on_a_feature_block_matches_reference_bits():
 
 
 def _signed_zero_rows(rng, a):
-    """Rows of +0.0, of -0.0, and of both mixed with values, at and around
-    the WINDOW_ROWS block edges."""
+    """Rows of +0.0, of -0.0, and of both mixed with values, every 512 rows."""
     m = len(a)
-    for r in range(0, m, WINDOW_ROWS):
+    for r in range(0, m, 512):
         a[r] = -0.0
         a[min(r + 1, m - 1)] = 0.0
         a[max(r - 1, 0), ::2] = -0.0
@@ -214,14 +223,14 @@ def _signed_zero_rows(rng, a):
     return a
 
 
-@pytest.mark.parametrize("m", [WINDOW_ROWS - 1, WINDOW_ROWS, WINDOW_ROWS + 1, 2001])
+@pytest.mark.parametrize("m", [512 - 1, 512, 512 + 1, 2001])
 @pytest.mark.parametrize(
     "t, mu",
-    _REPLAY_SHAPES
+    _WIDE_SHAPES
     + [
-        (40, 20),  # t >= mu + 1: no interior columns
-        (113, 120),  # interior of 8 columns: reduced in full
-        (112, 120),  # interior of 9 columns: one copy
+        (40, 20),  # t >= mu + 1
+        (113, 120),
+        (112, 120),
     ],
 )
 def test_pool_window_major_blocks_match_reference_bits(m, t, mu):
@@ -237,34 +246,15 @@ def test_pool_window_major_blocks_match_reference_bits(m, t, mu):
 def test_pool_window_major_one_and_three_dim_inputs(t, mu):
     rng = np.random.default_rng(t * mu)
     pool = Pooling(t, mu)
-    for lead in [(), (3, 4), (2, WINDOW_ROWS + 3)]:
+    for lead in [(), (3, 4), (2, 512 + 3)]:
         x = _spread(rng, lead + (pool.in_dim,))
         _assert_bits(pool.apply(x), pool_ref.apply(pool, x))
         y = _spread(rng, lead + (t,))
         _assert_bits(pool.adjoint(y), pool_ref.adjoint(pool, y))
 
 
-def test_pool_back_to_back_calls_share_no_state():
-    # each call's work arrays are its own: a call with other rows and other
-    # values gives the reference bits, and leaves earlier results alone
-    rng = np.random.default_rng(99)
-    pool = Pooling(20, 108)
-    kept = []
-    for m in [2001, 513, 7, 2001, 1]:
-        x = _spread(rng, (m, pool.in_dim))
-        y = _spread(rng, (m, 20))
-        got = (pool.apply(x), pool.adjoint(y))
-        want = (pool_ref.apply(pool, x), pool_ref.adjoint(pool, y))
-        _assert_bits(got[0], want[0])
-        _assert_bits(got[1], want[1])
-        kept.append((got, want))
-    for got, want in kept:
-        _assert_bits(got[0], want[0])
-        _assert_bits(got[1], want[1])
-
-
 def test_pool_window_major_on_a_halved_feature_block_matches_reference_bits():
-    # a full BLOCK_ROWS block with a window above 128 (halved twice)
+    # a full BLOCK_ROWS block with a window of 300
     rng = np.random.default_rng(299)
     pool = Pooling(50, 299)
     x = _signed_zero_rows(rng, _spread(rng, (BLOCK_ROWS, pool.in_dim)))
@@ -273,28 +263,13 @@ def test_pool_window_major_on_a_halved_feature_block_matches_reference_bits():
     _assert_bits(pool.adjoint(y), pool_ref.adjoint(pool, y))
 
 
-@pytest.mark.parametrize("t, mu", _REPLAY_SHAPES + [(1, 99)])
+@pytest.mark.parametrize("t, mu", _WIDE_SHAPES + [(1, 99)])
 def test_pool_apply_one_and_three_dim_inputs(t, mu):
     rng = np.random.default_rng(t + mu)
     pool = Pooling(t, mu)
-    for shape in [(pool.in_dim,), (3, 4, pool.in_dim), (2, WINDOW_ROWS + 3, pool.in_dim)]:
+    for shape in [(pool.in_dim,), (3, 4, pool.in_dim), (2, 512 + 3, pool.in_dim)]:
         x = _spread(rng, shape)
         _assert_bits(pool.apply(x), pool_ref.apply(pool, x))
-
-
-def test_pool_apply_keeps_signed_zeros():
-    rng = np.random.default_rng(6)
-    for t, mu in _REPLAY_SHAPES + [(1, 99)]:
-        pool = Pooling(t, mu)
-        x = _spread(rng, (8, pool.in_dim))
-        x[0] = 0.0
-        x[1] = -0.0
-        x[2, ::2] = -0.0
-        x[3, 1::2] = 0.0
-        x[4] = np.where(rng.random(pool.in_dim) < 0.5, -0.0, 0.0)
-        got = pool.apply(x)
-        _assert_bits(got, pool_ref.apply(pool, x))
-        assert not np.any(got[:2]) and not np.any(np.signbit(got[:2]))
 
 
 def test_pool_apply_random_shapes_match_reference_bits():
@@ -325,6 +300,7 @@ def test_pool_apply_single_output_matches_reference_bits():
                 _assert_bits(pool.apply(x), pool_ref.apply(pool, x))
         x = _spread(rng, (mu + 1, 50)).T  # not contiguous along the window
         _assert_bits(pool.apply(x), pool_ref.apply(pool, x))
+
 
 def test_activation_values():
     x = np.array([-2.0, 0.0, 3.0])

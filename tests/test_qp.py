@@ -324,34 +324,41 @@ def test_init_draw_standard_deviations():
     assert np.allclose(w_h, math.sqrt(2.0 / 50) * w_r, atol=1e-12)
 
 
-def test_cg_solves_spd_system():
-    mat = np.array([[4.0, 1.0], [1.0, 3.0]])
-    rhs = np.array([1.0, 2.0])
-    x, iters, ok = qp._cg(mat, rhs, tol_rel=1e-14, max_iters=50)
-    assert ok
-    assert np.allclose(mat @ x, rhs, atol=1e-12)
-
-
-def test_cg_minimum_norm_on_singular_consistent_system():
-    mat = np.diag([2.0, 0.0])
-    rhs = np.array([4.0, 0.0])
-    x, _, ok = qp._cg(mat, rhs, tol_rel=1e-14, max_iters=10)
-    assert ok
-    assert np.allclose(x, [2.0, 0.0], atol=1e-14)
-
-
 def test_direct_degenerate_features_never_worse_than_zero():
-    # Monomial columns up to degree 25 are numerically rank-deficient, so CG
-    # on the squared system stagnates; whatever comes back must be finite
-    # and fit no worse than the zero map.
+    # Monomial columns up to degree 25 are numerically rank-deficient: the
+    # truncated SVD cuts the columns below CUTOFF, says so in the note, and
+    # projects onto the left singular vectors it keeps.
     x = np.linspace(-1.0, 1.0, 200)
     feats = np.column_stack([x**j for j in range(1, 26)])
     targets = SplitMix64(33).standard_normals(200).reshape(200, 1)
     prob = qp.assemble(feats, targets, Pooling(out_dim=1, mu=4), 0.0)
     w, b, stats = qp.direct_solve(prob)
-    assert stats.note != ""
+    f1 = np.column_stack([feats, np.ones(200)])
+    u, sv, _ = np.linalg.svd(f1, full_matrices=False)
+    kept = sv > qp.CUTOFF * sv[0]
+    rank = int(np.count_nonzero(kept))
+    assert rank < 26
+    assert stats.note == f"rank {rank} of 26"
+    assert stats.iterations == 0
     assert np.all(np.isfinite(w)) and np.all(np.isfinite(b))
     assert stats.final_objective <= float(np.sum(targets * targets))
+    r = targets - prob.pooling.apply(feats @ w.T + b)
+    assert np.max(np.abs(u[:, kept].T @ r)) <= 1e-10 * np.linalg.norm(targets)
+
+
+def test_direct_full_rank_matches_lstsq():
+    rng = SplitMix64(34)
+    m, p, t, mu = 200, 5, 3, 4
+    feats = rng.standard_normals(m * p).reshape(m, p)
+    targets = rng.standard_normals(m * t).reshape(m, t)
+    prob = qp.assemble(feats, targets, Pooling(out_dim=t, mu=mu), 0.0)
+    w, b, stats = qp.direct_solve(prob)
+    assert stats.note == ""
+    # the lift keeps P [W b] = sol^T
+    sol = (prob.pooling.matrix() @ np.column_stack([w, b])).T
+    f1 = np.column_stack([feats, np.ones(m)])
+    want = np.linalg.lstsq(f1, targets, rcond=None)[0]
+    assert np.allclose(sol, want, rtol=0.0, atol=1e-10 * np.max(np.abs(want)))
 
 
 def test_orthogonality_defect_small_at_optimum_large_away():
