@@ -333,8 +333,8 @@ class Model:
 
         The call makes two work arrays per grade width, as long as the
         longest block, and every block and grade reuses them: the affine
-        image goes into the first (np.matmul with out=, then += bias, as
-        qp.residual computes it); the activation is then written into the
+        image goes into the first (np.matmul with out=, then += bias, the
+        operations of qp.residual); the activation is then written into the
         second (Activation.into), or, when it is N_keep,
         straight into the block's rows of the kept features.  No array of
         a block's size is made per block, so none is returned to the kernel

@@ -10,18 +10,19 @@ truncated SVD of the feature matrix, then a minimum-norm lift through the
 pooling matrix) provides the exact answer for ridge = 0, up to the singular
 values it cuts.
 
-With one pooled output (t = 1) P = (1/n) 1^T, n = mu + 1, sees only the mean
-row u of W and the mean beta of b, and every row of the W gradient is the
-same vector.  The accelerated iteration then runs on (u, beta) alone, a
-least-squares fit in p + 1 unknowns (see _mean_row_solve); it takes the
-full iteration's steps, up to rounding, at two (m x p) matrix-vector
-products per step.
+The residual sees (W, b) only through the pooled image (P W, P b), and every
+gradient step moves only the range(P^T) part of (W, b); the rest it scales
+by 1 - 2*ridge/L.  So the accelerated iteration runs on the pooled image,
+t x (p + 1) unknowns, plus that one scale (see nesterov_solve), at two
+(m x p x t) products per step with no pooling.  It takes the full
+iteration's steps up to rounding.  residual, objective and gradient are
+the full-(W, b) forms, which orthogonality_defect and the tests use.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,8 +43,6 @@ class Problem:
     targets: np.ndarray  # (m, t): rows are the current residual
     pooling: Pooling
     ridge: float = 0.0
-    # (m, in_dim) work array for residual's pre-pooling image; never returned
-    _work: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_samples(self) -> int:
@@ -91,9 +90,7 @@ def _params(problem: Problem, weight: np.ndarray, bias: np.ndarray):
 
 def residual(problem: Problem, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
     weight, bias = _params(problem, weight, bias)
-    if problem._work is None:
-        problem._work = np.empty((problem.n_samples, problem.pooling.in_dim))
-    pre = np.matmul(problem.features, weight.T, out=problem._work)
+    pre = problem.features @ weight.T
     pre += bias
     return problem.targets - problem.pooling.apply(pre)
 
@@ -169,14 +166,15 @@ class SolverConfig:
     coming from the package PRNG with ``init_seed`` and biases starting at
     zero.  The fitted pooled predictions do not depend on the start — only
     which of the many exact minimizers the iteration settles near, and
-    hence the feature map handed to the next grade, does.  With a single
-    pooled output the gradient of the pooled objective is row-constant, so
-    the iteration moves only the mean row and the zero start collapses all
-    weight rows to a common value, which starves later grades of features;
-    the random starts keep the rows distinct (their deviations from the
-    mean row stay as drawn, only shrunk by a ridge).  "randn" deliberately
-    skips the variance-preserving scale so that oscillatory activations
-    compound frequency grade over grade.
+    hence the feature map handed to the next grade, does.  The iteration
+    moves only the range(P^T) part of W and scales the rest (see
+    nesterov_solve).  With a single pooled output that range is the
+    row-constant matrices, so the iteration moves only the mean row and the
+    zero start collapses all weight rows to a common value, which starves
+    later grades of features; the random starts keep the rows distinct
+    (their deviations from the mean row stay as drawn, only shrunk by a
+    ridge).  "randn" deliberately skips the variance-preserving scale so
+    that oscillatory activations compound frequency grade over grade.
     ``init_scale`` multiplies the draw's standard deviation; with an
     oscillatory activation on the first grade it sets the frequency band
     the random features cover, which is how a narrowband target (a carrier
@@ -224,136 +222,101 @@ def nesterov_solve(problem: Problem, cfg: SolverConfig) -> tuple[np.ndarray, np.
 
     Stops when the relative objective change between consecutive iterates
     drops below cfg.epsilon, or at max_iters.  The trace, when recorded,
-    holds J at every iterate starting from the initial point.  A problem
-    with one pooled output runs the same iteration on its mean row
-    (_mean_row_solve).
+    holds J at every iterate starting from the initial point.
+
+    The iteration runs in pooled coordinates.  The residual depends on
+    (W, b) only through V = P W and c = P b, and a step on (W, b) adds
+    (2/L) P^T R^T [F 1] to the shrunk iterate, with shrink = 1 - 2*ridge/L
+    and R the residual at the extrapolated point.  So it moves only the
+    range(P^T) part of (W, b), V by S R^T F and c by S R^T 1 with
+    S = (2/L) P P^T, and merely scales the rest: the start's parts
+    D = W0 - lift(V0) and d = b0 - lift(c0), with lift = P^T (P P^T)^-1,
+    all by one factor s (exactly 1 at ridge 0).  The state (V, c, s) is
+    t x (p + 1) plus one number, and
+
+        J = ||Y - F V^T - c||^2
+            + ridge * (tr(V^T K^-1 V) + c^T K^-1 c + s^2 (||D||^2 + ||d||^2))
+
+    with K = P P^T.  The momentum is linear, so F V^T at the extrapolated
+    point is the same combination of F V^T at the last two iterates: each
+    step makes one product with F and one with F^T, and nothing is pooled.
+    The result W = s D + lift(V), b = s d + lift(c) is the full iteration's
+    iterate up to rounding.  With n = mu + 1, K is the overlap count of two
+    windows over n^2; S is built as (2/(nL)) * (count / n), which is exactly
+    the scalar 2/(nL) for one pooled output, where lift repeats its
+    argument.
     """
     if cfg.method != "nesterov":
         raise ValueError("nesterov_solve needs cfg.method == 'nesterov'")
     lip = lipschitz_bound(problem, cfg.lipschitz_safety)
-    shape = (problem.pooling.in_dim, problem.n_features)
+    pool = problem.pooling
+    shape = (pool.in_dim, problem.n_features)
     if cfg.init in ("he", "randn"):
         stream = SplitMix64(cfg.init_seed)
         std = math.sqrt(2.0 / shape[1]) if cfg.init == "he" else 1.0
         std *= cfg.init_scale
         w = std * stream.standard_normals(shape[0] * shape[1]).reshape(shape)
-        b = np.zeros(shape[0])
     else:
         w = np.zeros(shape)
-        b = np.zeros(shape[0])
-    if problem.pooling.out_dim == 1:
-        return _mean_row_solve(problem, cfg, lip, w, b)
-    w_prev, b_prev = w, b
-    yw, yb = w, b
-    t_mom = 1.0
-    j_prev = objective(problem, w, b)
-    trace = [j_prev] if cfg.record_trace else None
-    iterations = 0
-    stop_reason = "max_iters"
-    j_val = j_prev
-    for it in range(1, cfg.max_iters + 1):
-        gw, gb = gradient(problem, yw, yb)
-        w_new = yw - gw / lip
-        b_new = yb - gb / lip
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
-        coef = (t_mom - 1.0) / t_next
-        yw = w_new + coef * (w_new - w_prev)
-        yb = b_new + coef * (b_new - b_prev)
-        j_val = objective(problem, w_new, b_new)
-        if not math.isfinite(j_val):
-            raise RuntimeError(
-                f"non-finite objective at iteration {it} (bad step size or data)"
-            )
-        if trace is not None:
-            trace.append(j_val)
-        w_prev, b_prev = w_new, b_new
-        t_mom = t_next
-        iterations = it
-        if abs(j_val - j_prev) / max(abs(j_prev), 1e-30) < cfg.epsilon:
-            stop_reason = "epsilon"
-            break
-        j_prev = j_val
-    stats = SolveStats(
-        iterations=iterations,
-        final_objective=j_val,
-        stop_reason=stop_reason,
-        objective_trace=trace,
-        lipschitz=lip,
-    )
-    return w_prev, b_prev, stats
-
-
-def _mean_row_solve(
-    problem: Problem, cfg: SolverConfig, lip: float, w: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, SolveStats]:
-    """nesterov_solve's iteration for one pooled output, from the start (w, b).
-
-    The pooled prediction at phi is u.phi + beta, with u the mean row of W
-    and beta the mean of b, so the residual r depends on (u, beta) alone.
-    A full step adds (2/(nL)) F^T r to every row of W and (2/(nL)) sum(r)
-    to every entry of b, and scales both by 1 - 2*ridge/L.  So the
-    deviations D = W0 - 1 u0^T and d = b0 - beta0 1 of the start only scale,
-    all by one factor s (exactly 1 at ridge 0), and the iterate
-    theta = (u, beta, s) carries the whole state:
-
-        J = ||y - F u - beta||^2 + ridge * (n ||u||^2 + n beta^2 + s^2 (||D||^2 + ||d||^2))
-
-    The momentum is linear, so F u at the extrapolated point is the same
-    combination of F u at the last two iterates: each step makes one
-    product with F and one with F^T.  The result is W = s D + 1 u^T,
-    b = s d + beta 1, the full iteration's iterate up to rounding.
-    """
-    n = problem.pooling.in_dim
+    b = np.zeros(shape[0])
     feats = problem.features
-    y = problem.targets[:, 0]
+    y = problem.targets
     ridge = problem.ridge
     p = problem.n_features
-    u = w.mean(axis=0)
-    beta = float(b.mean())
-    dev_w = w - u
-    dev_b = b - beta
-    dev_sq = float(np.sum(dev_w * dev_w)) + float(np.sum(dev_b * dev_b))
-    step = 2.0 / (n * lip)
-    shrink = 1.0 - 2.0 * ridge / lip
+    n = pool.mu + 1
+    k = np.arange(pool.out_dim)
+    overlap = np.maximum(n - np.abs(k[:, None] - k), 0) / n  # n K, 1.0 on the diagonal
+    overlap_inv = np.linalg.inv(overlap)  # K^-1 / n
+    windows = (pool.matrix() > 0.0).astype(float)  # n P: 1 inside each window
 
-    def objective_at(theta, fu):
-        r = y - fu
-        r -= theta[p]
-        total = float(r @ r)
+    def lift(x):
+        return windows.T @ (overlap_inv @ x)
+
+    step = (2.0 / (n * lip)) * overlap
+    shrink = 1.0 - 2.0 * ridge / lip
+    theta = np.column_stack([pool.apply(w.T).T, pool.apply(b)])  # [V c]
+    dev_w = w - lift(theta[:, :p])
+    dev_b = b - lift(theta[:, p])
+    dev_sq = float(np.sum(dev_w * dev_w)) + float(np.sum(dev_b * dev_b))
+
+    def objective_at(theta, s, fv):
+        r = y - fv
+        r -= theta[:, p]
+        total = float(r.ravel() @ r.ravel())
         if ridge > 0.0:
-            mean_sq = float(theta[: p + 1] @ theta[: p + 1])
-            total += ridge * (n * mean_sq + theta[p + 1] ** 2 * dev_sq)
+            range_sq = float(theta.ravel() @ (overlap_inv @ theta).ravel())
+            total += ridge * (n * range_sq + s**2 * dev_sq)
         return total
 
-    theta = np.concatenate([u, [beta, 1.0]])
-    fu = feats @ u
-    theta_prev, fu_prev = theta, fu
-    theta_y, fu_y = theta, fu
+    s = 1.0
+    fv = feats @ theta[:, :p].T
+    theta_prev, s_prev, fv_prev = theta, s, fv
+    theta_y, s_y, fv_y = theta, s, fv
     t_mom = 1.0
-    j_prev = objective_at(theta, fu)
+    j_prev = objective_at(theta, s, fv)
     trace = [j_prev] if cfg.record_trace else None
     iterations = 0
     stop_reason = "max_iters"
     j_val = j_prev
     for it in range(1, cfg.max_iters + 1):
-        r = y - fu_y
-        r -= theta_y[p]
-        theta_new = shrink * theta_y
-        theta_new[:p] += step * (r @ feats)
-        theta_new[p] += step * float(r.sum())
-        fu_new = feats @ theta_new[:p]
+        r = y - fv_y
+        r -= theta_y[:, p]
+        theta_new = shrink * theta_y + step @ np.column_stack([r.T @ feats, r.sum(axis=0)])
+        s_new = shrink * s_y
+        fv_new = feats @ theta_new[:, :p].T
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
         coef = (t_mom - 1.0) / t_next
         theta_y = theta_new + coef * (theta_new - theta_prev)
-        fu_y = fu_new + coef * (fu_new - fu_prev)
-        j_val = objective_at(theta_new, fu_new)
+        s_y = s_new + coef * (s_new - s_prev)
+        fv_y = fv_new + coef * (fv_new - fv_prev)
+        j_val = objective_at(theta_new, s_new, fv_new)
         if not math.isfinite(j_val):
             raise RuntimeError(
                 f"non-finite objective at iteration {it} (bad step size or data)"
             )
         if trace is not None:
             trace.append(j_val)
-        theta_prev, fu_prev = theta_new, fu_new
+        theta_prev, s_prev, fv_prev = theta_new, s_new, fv_new
         t_mom = t_next
         iterations = it
         if abs(j_val - j_prev) / max(abs(j_prev), 1e-30) < cfg.epsilon:
@@ -367,8 +330,9 @@ def _mean_row_solve(
         objective_trace=trace,
         lipschitz=lip,
     )
-    s = theta_prev[p + 1]
-    return s * dev_w + theta_prev[:p], s * dev_b + theta_prev[p], stats
+    weight = s_prev * dev_w + lift(theta_prev[:, :p])
+    bias = s_prev * dev_b + lift(theta_prev[:, p])
+    return weight, bias, stats
 
 
 def direct_solve(problem: Problem) -> tuple[np.ndarray, np.ndarray, SolveStats]:

@@ -1,10 +1,9 @@
 """Reference accelerated gradient: the iteration on the full (W, b) for every
 pooling width.
 
-qp.nesterov_solve runs this loop as written for more than one pooled output,
-so tests require equal bits there; with one pooled output it runs the same
-iteration on the mean row, and tests require equal iteration counts and stop
-reasons and agreement to rounding.
+qp.nesterov_solve runs the same iteration on the pooled image (P W, P b) and
+one scale for the rest, so tests require equal iteration counts, stop
+reasons and Lipschitz bounds, and agreement to rounding.
 """
 
 import math

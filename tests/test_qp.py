@@ -149,29 +149,6 @@ def test_objective_and_gradient_bits_at_the_oscillatory_first_grade():
     assert np.array_equal(gb, -2.0 * adj.sum(axis=0))
 
 
-def test_residual_work_array_stays_private():
-    rng = SplitMix64(14)
-    m, p, t, mu = 301, 6, 20, 108
-    feats = rng.standard_normals(m * p).reshape(m, p)
-    targets = rng.standard_normals(m * t).reshape(m, t)
-    prob = qp.assemble(feats, targets, Pooling(t, mu))
-    other = qp.assemble(feats, targets, Pooling(t, mu))
-    params = [
-        (rng.standard_normals((t + mu) * p).reshape(t + mu, p), rng.standard_normals(t + mu))
-        for _ in range(3)
-    ]
-    first = qp.residual(prob, *params[0])
-    kept = first.copy()
-    qp.residual(prob, *params[1])
-    qp.gradient(prob, *params[2])
-    qp.objective(prob, *params[1])
-    qp.residual(other, *params[2])
-    assert np.array_equal(first, kept)
-    assert not np.shares_memory(first, prob._work)
-    assert not np.shares_memory(prob._work, other._work)
-    assert np.array_equal(qp.residual(prob, *params[0]), kept)
-
-
 def test_nesterov_on_a_reused_problem_matches_a_fresh_one():
     prob = small_problem(m=40, p=3, in_dim=12, t=4, seed=15)
     cfg = qp.SolverConfig(epsilon=1e-12, max_iters=60, init="randn")
@@ -389,24 +366,25 @@ def _assert_close(got, want):
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
 
 
-def slow_single_output_problem(mu, ridge):
+def slow_problem(t, mu, ridge):
     # monomial features are badly conditioned, so the objective still falls
     # well above rounding when either stop fires, and a rounding difference
     # cannot move the stop
     x = np.linspace(0.0, 1.0, 60)
     feats = x[:, None] ** np.arange(1, 8)
-    targets = np.abs(x - 0.3)[:, None]
-    return qp.assemble(feats, targets, Pooling(out_dim=1, mu=mu), ridge=ridge)
+    targets = np.abs(x[:, None] - np.linspace(0.3, 0.7, t))
+    return qp.assemble(feats, targets, Pooling(out_dim=t, mu=mu), ridge=ridge)
 
 
 @pytest.mark.parametrize("ridge", [0.0, 0.3])
 @pytest.mark.parametrize("init", ["zero", "he", "randn"])
 @pytest.mark.parametrize("mu", [0, 2, 99])
-def test_single_output_mean_row_matches_full_iteration(ridge, init, mu):
-    # one pooled output runs on the mean row; it must take the full
-    # iteration's steps: the same count and stop, the same iterates and
-    # trace up to rounding
-    prob = slow_single_output_problem(mu, ridge)
+@pytest.mark.parametrize("t", [1, 2, 20])
+def test_pooled_iteration_matches_full_iteration(t, mu, init, ridge):
+    # the pooled-coordinate loop must take the full (W, b) iteration's
+    # steps: the same count and stop, the same iterates and trace up to
+    # rounding
+    prob = slow_problem(t, mu, ridge)
     for epsilon, max_iters in ((1e-4, 400), (1e-16, 30)):
         cfg = qp.SolverConfig(
             epsilon=epsilon, max_iters=max_iters, ridge=ridge, init=init, init_seed=4,
@@ -440,31 +418,31 @@ def test_single_output_mean_row_at_the_kinked_shape():
     _assert_close(stats.objective_trace, stats0.objective_trace)
 
 
-@pytest.mark.parametrize("t", [2, 20])
-@pytest.mark.parametrize("ridge", [0.0, 0.3])
-def test_wide_pooling_runs_the_full_iteration_bit_for_bit(t, ridge):
-    prob = small_problem(m=30, p=5, in_dim=t + 6, t=t, ridge=ridge, seed=9)
-    cfg = qp.SolverConfig(epsilon=1e-12, max_iters=80, ridge=ridge, init="randn", record_trace=True)
-    w, b, stats = qp.nesterov_solve(prob, cfg)
-    w0, b0, stats0 = nesterov_ref.nesterov_solve(prob, cfg)
-    assert np.array_equal(w, w0) and np.array_equal(b, b0)
-    assert stats == stats0
-
-
-def test_single_output_iteration_never_pools(monkeypatch):
-    prob = small_problem(m=20, p=4, in_dim=6, t=1, seed=5)
+@pytest.mark.parametrize("t", [1, 2, 20])
+def test_the_iteration_never_pools(monkeypatch, t):
+    # pooling the start is the only pooling; the loop's cost is its two
+    # products with the features
+    prob = small_problem(m=20, p=4, in_dim=t + 5, t=t, seed=5)
     lip = qp.lipschitz_bound(prob)
-    cfg = qp.SolverConfig(epsilon=1e-12, max_iters=50, init="he")
-    want = qp.nesterov_solve(prob, cfg)
+    calls = {}
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("the single-output iteration pooled or took a full-(W, b) step")
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
 
     monkeypatch.setattr(qp, "lipschitz_bound", lambda problem, safety=1.0: lip)
     for name in ("apply", "adjoint"):
-        monkeypatch.setattr(Pooling, name, refuse)
+        counted(Pooling, name)
     for name in ("residual", "objective", "gradient"):
-        monkeypatch.setattr(qp, name, refuse)
-    w, b, stats = qp.nesterov_solve(prob, cfg)
-    assert np.array_equal(w, want[0]) and np.array_equal(b, want[1])
-    assert stats == want[2]
+        counted(qp, name)
+    for max_iters in (1, 50):
+        calls.clear()
+        cfg = qp.SolverConfig(epsilon=1e-16, max_iters=max_iters, init="he")
+        _, _, stats = qp.nesterov_solve(prob, cfg)
+        assert stats.iterations == max_iters
+        assert calls == {"apply": 2}
