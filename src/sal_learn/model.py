@@ -139,12 +139,16 @@ class Pooling:
     The induced matrix P has rows of mu+1 copies of 1/(mu+1) shifted one
     step per row; it always has full row rank, and mu=0 is the identity.
 
-    apply is x @ P^T and adjoint is y @ P, each one BLAS product over every
-    leading row, with P made once per Pooling.  Their bits depend on the
-    BLAS build and on the row count of the product (see Model.run_chain).
-    mu=0 copies; for out_dim == 1 the one window is the whole last axis,
-    so apply is a mean over it and adjoint its repeat, elementwise NumPy
-    with the same bits on every build.
+    apply is x @ P^T and adjoint is y @ P for every out_dim and mu, each one
+    BLAS product over every leading row, with P made once per Pooling.
+    Their bits depend on the BLAS build and on the row count of the product
+    (see Model.run_chain).
+
+    With n = mu+1, K = P P^T is the overlap count of two windows over n^2:
+    K = overlap / n with overlap(i, j) = max(0, n - |i-j|) / n, exactly 1.0
+    on the diagonal.  lift is the minimum-norm right inverse
+    P^T K^-1 = (n P)^T overlap^-1, and lambda_max is the largest
+    eigenvalue of K, ||P||_2^2; all three are made once per Pooling.
     """
 
     out_dim: int
@@ -167,14 +171,29 @@ class Pooling:
         p.flags.writeable = False
         return p
 
+    @cached_property
+    def overlap(self) -> np.ndarray:
+        """(mu+1) P P^T, read-only: the overlap count of two windows over mu+1."""
+        n = self.mu + 1
+        k = np.arange(self.out_dim)
+        o = np.maximum(n - np.abs(k[:, None] - k), 0) / n
+        o.flags.writeable = False
+        return o
+
+    @cached_property
+    def _right_inverse(self) -> np.ndarray:
+        windows = (self._matrix > 0.0).astype(float)  # (mu+1) P: 1 inside each window
+        return windows.T @ np.linalg.inv(self.overlap)
+
+    @cached_property
+    def lambda_max(self) -> float:
+        """The largest eigenvalue of P P^T, ||P||_2^2."""
+        return float(np.linalg.eigvalsh(self.overlap)[-1]) / (self.mu + 1)
+
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.in_dim:
             raise ValueError(f"pooling expects last dim {self.in_dim}, got {x.shape[-1]}")
-        if self.mu == 0:
-            return x.copy()
-        if self.out_dim == 1:
-            return x.mean(axis=-1, keepdims=True)
         return _product(x, self._matrix.T)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
@@ -182,13 +201,12 @@ class Pooling:
         y = np.asarray(y, dtype=float)
         if y.shape[-1] != self.out_dim:
             raise ValueError(f"adjoint expects last dim {self.out_dim}, got {y.shape[-1]}")
-        if self.mu == 0:
-            return y.copy()
-        if self.out_dim == 1:
-            # each window holds y among +0.0s, whose sum is exactly y + 0.0
-            # (y / n + 0.0 would differ where y / n underflows to -0.0)
-            return np.repeat((y + 0.0) / (self.mu + 1), self.mu + 1, axis=-1)
         return _product(y, self._matrix)
+
+    def lift(self, v: np.ndarray) -> np.ndarray:
+        """P^T (P P^T)^-1 v, the minimum-norm u with P u = v, for v of out_dim
+        rows (a vector or a matrix of columns)."""
+        return self._right_inverse @ v
 
     def matrix(self) -> np.ndarray:
         """P, read-only."""
@@ -328,8 +346,8 @@ class Model:
         points: such a grade comes back at the selected rows only, in order.
         It is still pooled over its whole row block, and the selected rows
         are taken from that, because the bits of the pooling product depend
-        on its row count: pooling only the selected rows could give them
-        other bits than a run without `select`.
+        on its row count, at every pooling width: pooling only the selected
+        rows could give them other bits than a run without `select`.
 
         The call makes two work arrays per grade width, as long as the
         longest block, and every block and grade reuses them: the affine

@@ -8,7 +8,9 @@ Nesterov's accelerated gradient with a constant 1/L step solves it
 iteratively; a direct two-stage oracle (unconstrained least squares by a
 truncated SVD of the feature matrix, then a minimum-norm lift through the
 pooling matrix) provides the exact answer for ridge = 0, up to the singular
-values it cuts.
+values it cuts.  What either solver needs of P comes from the Pooling:
+its right inverse lift = P^T (P P^T)^-1, the overlap matrix behind
+P P^T, and lambda_max = ||P||_2^2 in L.
 
 The residual sees (W, b) only through the pooled image (P W, P b), and every
 gradient step moves only the range(P^T) part of (W, b); the rest it scales
@@ -119,41 +121,17 @@ def gradient(
     return grad_w, grad_b
 
 
-def _power_largest_eig(matvec, dim: int, iters: int = 200, tol: float = 1e-10):
-    """Largest eigenvalue of a PSD operator; deterministic all-ones start."""
-    v = np.ones(dim) / math.sqrt(dim)
-    lam_prev = 0.0
-    for _ in range(iters):
-        w = matvec(v)
-        lam = float(v @ w)
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0, True
-        v = w / nw
-        if abs(lam - lam_prev) <= tol * max(1.0, abs(lam)):
-            return lam, True
-        lam_prev = lam
-    return lam_prev, False
-
-
 def lipschitz_bound(problem: Problem, safety: float = 1.0) -> float:
-    """Upper bound on the Lipschitz constant of the objective gradient.
+    """The Lipschitz constant of the objective gradient, times safety.
 
-    L = 2 * sigma_max(P)^2 * sigma_max(Phi~)^2 + 2*ridge, with Phi~ the
-    feature matrix plus a ones column; each sigma_max^2 comes from power
-    iteration, falling back to the (always valid) squared Frobenius norm.
+    L = 2 * ||P||_2^2 * ||Phi~||_2^2 + 2*ridge, with Phi~ the feature matrix
+    plus a ones column.  ||P||_2^2 is Pooling.lambda_max and ||Phi~||_2^2
+    the largest eigenvalue of Phi~^T Phi~, each from eigvalsh of a small
+    symmetric matrix, so L is exact to rounding.
     """
     f1 = np.column_stack([problem.features, np.ones(problem.n_samples)])
-    lam_f, ok_f = _power_largest_eig(lambda v: f1.T @ (f1 @ v), f1.shape[1])
-    if not ok_f:
-        lam_f = float(np.sum(f1 * f1))
-    pool = problem.pooling
-    lam_p, ok_p = _power_largest_eig(
-        lambda v: pool.adjoint(pool.apply(v)), pool.in_dim
-    )
-    if not ok_p:
-        lam_p = pool.out_dim / (pool.mu + 1)  # squared Frobenius norm of P
-    return safety * (2.0 * lam_p * lam_f + 2.0 * problem.ridge)
+    lam_f = float(np.linalg.eigvalsh(f1.T @ f1)[-1])
+    return safety * (2.0 * problem.pooling.lambda_max * lam_f + 2.0 * problem.ridge)
 
 
 @dataclass
@@ -229,22 +207,20 @@ def nesterov_solve(problem: Problem, cfg: SolverConfig) -> tuple[np.ndarray, np.
     (2/L) P^T R^T [F 1] to the shrunk iterate, with shrink = 1 - 2*ridge/L
     and R the residual at the extrapolated point.  So it moves only the
     range(P^T) part of (W, b), V by S R^T F and c by S R^T 1 with
-    S = (2/L) P P^T, and merely scales the rest: the start's parts
-    D = W0 - lift(V0) and d = b0 - lift(c0), with lift = P^T (P P^T)^-1,
-    all by one factor s (exactly 1 at ridge 0).  The state (V, c, s) is
-    t x (p + 1) plus one number, and
+    S = (2/L) P P^T, and merely scales the rest: the start's part
+    [D d] = [W0 b0] - lift([V0 c0]), with lift = Pooling.lift, all by one
+    factor s (exactly 1 at ridge 0).  The state (V, c, s) is t x (p + 1)
+    plus one number, and
 
-        J = ||Y - F V^T - c||^2
-            + ridge * (tr(V^T K^-1 V) + c^T K^-1 c + s^2 (||D||^2 + ||d||^2))
+        J = ||Y - F V^T - c||^2 + ridge * (||lift([V c])||^2 + s^2 ||[D d]||^2)
 
-    with K = P P^T.  The momentum is linear, so F V^T at the extrapolated
-    point is the same combination of F V^T at the last two iterates: each
-    step makes one product with F and one with F^T, and nothing is pooled.
-    The result W = s D + lift(V), b = s d + lift(c) is the full iteration's
-    iterate up to rounding.  With n = mu + 1, K is the overlap count of two
-    windows over n^2; S is built as (2/(nL)) * (count / n), which is exactly
-    the scalar 2/(nL) for one pooled output, where lift repeats its
-    argument.
+    since ||lift(x)||^2 = tr(x^T (P P^T)^-1 x).  The momentum is linear, so
+    F V^T at the extrapolated point is the same combination of F V^T at
+    the last two iterates: each step makes one product with F and one with
+    F^T, and nothing is pooled but the start.  The result
+    [W b] = s [D d] + lift([V c]) is the full iteration's iterate up to
+    rounding.  S is built as (2/(nL)) * Pooling.overlap with n = mu + 1,
+    which is exactly the scalar 2/(nL) for one pooled output.
     """
     if cfg.method != "nesterov":
         raise ValueError("nesterov_solve needs cfg.method == 'nesterov'")
@@ -263,29 +239,20 @@ def nesterov_solve(problem: Problem, cfg: SolverConfig) -> tuple[np.ndarray, np.
     y = problem.targets
     ridge = problem.ridge
     p = problem.n_features
-    n = pool.mu + 1
-    k = np.arange(pool.out_dim)
-    overlap = np.maximum(n - np.abs(k[:, None] - k), 0) / n  # n K, 1.0 on the diagonal
-    overlap_inv = np.linalg.inv(overlap)  # K^-1 / n
-    windows = (pool.matrix() > 0.0).astype(float)  # n P: 1 inside each window
-
-    def lift(x):
-        return windows.T @ (overlap_inv @ x)
-
-    step = (2.0 / (n * lip)) * overlap
+    step = (2.0 / ((pool.mu + 1) * lip)) * pool.overlap
     shrink = 1.0 - 2.0 * ridge / lip
-    theta = np.column_stack([pool.apply(w.T).T, pool.apply(b)])  # [V c]
-    dev_w = w - lift(theta[:, :p])
-    dev_b = b - lift(theta[:, p])
-    dev_sq = float(np.sum(dev_w * dev_w)) + float(np.sum(dev_b * dev_b))
+    wb = np.column_stack([w, b])
+    theta = pool.apply(wb.T).T  # [V c]
+    dev = wb - pool.lift(theta)  # [D d]
+    dev_sq = float(dev.ravel() @ dev.ravel())
 
     def objective_at(theta, s, fv):
         r = y - fv
         r -= theta[:, p]
         total = float(r.ravel() @ r.ravel())
         if ridge > 0.0:
-            range_sq = float(theta.ravel() @ (overlap_inv @ theta).ravel())
-            total += ridge * (n * range_sq + s**2 * dev_sq)
+            lifted = pool.lift(theta)
+            total += ridge * (float(lifted.ravel() @ lifted.ravel()) + s**2 * dev_sq)
         return total
 
     s = 1.0
@@ -330,9 +297,8 @@ def nesterov_solve(problem: Problem, cfg: SolverConfig) -> tuple[np.ndarray, np.
         objective_trace=trace,
         lipschitz=lip,
     )
-    weight = s_prev * dev_w + lift(theta_prev[:, :p])
-    bias = s_prev * dev_b + lift(theta_prev[:, p])
-    return weight, bias, stats
+    wb = s_prev * dev + pool.lift(theta_prev)
+    return np.ascontiguousarray(wb[:, :p]), wb[:, p].copy(), stats
 
 
 def direct_solve(problem: Problem) -> tuple[np.ndarray, np.ndarray, SolveStats]:
@@ -356,9 +322,7 @@ def direct_solve(problem: Problem) -> tuple[np.ndarray, np.ndarray, SolveStats]:
     kept = sv > CUTOFF * sv[0]
     sol = vt[kept].T @ ((u[:, kept].T @ problem.targets) / sv[kept, None])
     rank = int(np.count_nonzero(kept))
-    pm = problem.pooling.matrix()
-    ppt = pm @ pm.T  # invertible: full row rank
-    theta = pm.T @ np.linalg.solve(ppt, sol.T)  # (in_dim, p+1)
+    theta = problem.pooling.lift(sol.T)  # (in_dim, p+1)
     weight = np.ascontiguousarray(theta[:, :-1])
     bias = theta[:, -1].copy()
     j_opt = float(np.sum(np.square(problem.targets - f1 @ sol)))

@@ -1,15 +1,11 @@
 """Reference pooling, built independently of the model's Pooling.
 
-For more than one output the induced matrix P comes from the sliding-window
-definition applied to the identity (row i is the mean of rows i..i+mu of
-I), and apply and adjoint are the products x @ P^T and y @ P over every
-leading row at once.  The model computes the same products, so tests
-require bit-for-bit equality; test_model.py also checks P's products
-against the window sums themselves to a tolerance.
-
-With one output every window is the whole last axis: apply is its mean and
-the adjoint reduces every zero-padded window in full, which tests require
-the model's closed forms to match bit for bit.
+The induced matrix P comes from the sliding-window definition applied to
+the identity (row i is the mean of rows i..i+mu of I), and apply and
+adjoint are the products x @ P^T and y @ P over every leading row at once,
+for every width.  The model computes the same products, so tests require
+bit-for-bit equality; test_model.py also checks P's products against the
+window sums themselves to a tolerance.
 """
 
 import numpy as np
@@ -26,20 +22,8 @@ def _rows(a, mat):
 
 
 def apply(pool, x):
-    x = np.asarray(x, dtype=float)
-    if pool.mu == 0:
-        return x.copy()
-    if pool.out_dim == 1:
-        return sliding_window_view(x, pool.mu + 1, axis=-1).mean(axis=-1)
-    return _rows(x, matrix(pool).T)
+    return _rows(np.asarray(x, dtype=float), matrix(pool).T)
 
 
 def adjoint(pool, y):
-    y = np.asarray(y, dtype=float)
-    if pool.mu == 0:
-        return y.copy()
-    if pool.out_dim == 1:
-        pad = np.zeros(y.shape[:-1] + (pool.mu,))
-        z = np.concatenate([pad, y, pad], axis=-1)
-        return sliding_window_view(z, pool.mu + 1, axis=-1).sum(axis=-1) / (pool.mu + 1)
-    return _rows(y, matrix(pool))
+    return _rows(np.asarray(y, dtype=float), matrix(pool))

@@ -92,11 +92,38 @@ def _spread(rng, shape):
     return rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, size=shape)
 
 
+def _signed_zero_rows(rng, a):
+    """Rows of +0.0, of -0.0, and of both mixed with values, every 512 rows."""
+    m = len(a)
+    for r in range(0, m, 512):
+        a[r] = -0.0
+        a[min(r + 1, m - 1)] = 0.0
+        a[max(r - 1, 0), ::2] = -0.0
+        a[min(r + 2, m - 1)] = np.where(rng.random(a.shape[1]) < 0.5, -0.0, a[min(r + 2, m - 1)])
+    a[m - 1] = -0.0
+    return a
+
+
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, -1e-310, 1e300, -3.5]
+
+
+def _with_specials(a):
+    """a with _SPECIAL written over entries from its middle row on, when it
+    has at least twice as many entries."""
+    flat = a.reshape(-1)
+    if flat.size >= 2 * len(_SPECIAL):
+        start = min(len(a) // 2 * a.shape[-1], flat.size - len(_SPECIAL))
+        flat[start : start + len(_SPECIAL)] = _SPECIAL
+    return a
+
+
 @pytest.mark.parametrize(
     "m, t, mu",
     [
         (1001, 1, 99),  # the kinked desk grades
         (2001, 20, 108),  # the oscillatory desk grade
+        (BLOCK_ROWS, 20, 108),  # a full feature block at the oscillatory desk shape
+        (BLOCK_ROWS, 50, 299),  # a full feature block with a window of 300
         (7, 3, 0),  # identity
         (9, 4, 5),  # window of 6
         (9, 2, 7),  # window of 8
@@ -106,15 +133,45 @@ def _spread(rng, shape):
         (6, 40, 20),  # t >= mu + 1
         (3, 113, 120),
         (3, 112, 120),
-    ],
+    ]
+    # one output: the one window is the whole last axis
+    + [(1001, 1, mu) for mu in (1, 7, 8, 127, 128, 200, 300)],
 )
 def test_pool_adjoint_matches_reference_bits(m, t, mu):
     rng = np.random.default_rng(m * 1000 + t * 10 + mu)
     pool = Pooling(t, mu)
     y = _spread(rng, (m, t))
-    _assert_bits(pool.adjoint(y), pool_ref.adjoint(pool, y))
     x = _spread(rng, (m, pool.in_dim))
+    for a in (x, y):
+        if m >= 512:
+            _signed_zero_rows(rng, a)
+        _with_specials(a)
+    _assert_bits(pool.adjoint(y), pool_ref.adjoint(pool, y))
     _assert_bits(pool.apply(x), pool_ref.apply(pool, x))
+
+
+def test_pool_random_shapes_match_reference_bits():
+    # every one-output window up to 300 and 240 random shapes, each at
+    # leading shapes (), (m,) and (2, 3), scaled from 1e-300 to 1e300, with
+    # a tenth of the entries -0.0 and the inputs stored row- or column-major
+    rng = np.random.default_rng(2024)
+    shapes = [(1, mu) for mu in range(301)] + [
+        (int(rng.integers(1, 48)), int(rng.integers(0, 320))) for _ in range(240)
+    ]
+    for t, mu in shapes:
+        pool = Pooling(t, mu)
+        m = int(rng.integers(1, 12))
+        for lead in [(), (m,), (2, 3)]:
+            scale = (1.0, 1e300, 1e-300)[int(rng.integers(0, 3))]
+            x = _spread(rng, lead + (pool.in_dim,)) * scale
+            y = _spread(rng, lead + (t,)) * scale
+            for a in (x, y):
+                a[rng.random(a.shape) < 0.1] = -0.0
+                _with_specials(a)
+            if len(lead) == 1 and rng.random() < 0.5:
+                x, y = np.asfortranarray(x), np.asfortranarray(y)
+            _assert_bits(pool.apply(x), pool_ref.apply(pool, x))
+            _assert_bits(pool.adjoint(y), pool_ref.adjoint(pool, y))
 
 
 @pytest.mark.parametrize("t, mu", [(1, 99), (20, 108), (3, 5), (4, 0), (2, 300)])
@@ -126,31 +183,18 @@ def test_pool_adjoint_one_and_three_dim_inputs(t, mu):
         _assert_bits(pool.adjoint(y), pool_ref.adjoint(pool, y))
 
 
-def test_pool_adjoint_single_output_matches_reference_bits():
-    # t = 1 takes the closed form: every window holds one y entry among +0.0s
-    rng = np.random.default_rng(1)
-    special = [0.0, -0.0, 5e-324, -5e-324, -1e-310, 1e300, -3.5]
-    for mu in range(1, 301):
-        pool = Pooling(1, mu)
-        for shape in [(1,), (len(special) + 4, 1), (2, 3, 1)]:
-            y = _spread(rng, shape)
-            if len(shape) == 2:
-                y[: len(special), 0] = special
-            got = pool.adjoint(y)
-            assert got.flags.c_contiguous
-            _assert_bits(got, pool_ref.adjoint(pool, y))
-
-
-def test_pool_adjoint_random_shapes_match_reference_bits():
-    rng = np.random.default_rng(2024)
-    for _ in range(240):
-        m = int(rng.integers(1, 12))
-        t = int(rng.integers(1, 48))
-        mu = int(rng.integers(0, 320))
-        pool = Pooling(t, mu)
-        y = _spread(rng, (m, t))
-        y[rng.random((m, t)) < 0.1] = -0.0
-        _assert_bits(pool.adjoint(y), pool_ref.adjoint(pool, y))
+@pytest.mark.parametrize("t, mu", [(1, 0), (1, 99), (2, 5), (20, 108), (40, 20)])
+def test_pool_lift_is_the_minimum_norm_right_inverse(t, mu):
+    rng = np.random.default_rng(t * 1000 + mu)
+    pool = Pooling(t, mu)
+    mat = pool.matrix()
+    for v in (rng.standard_normal(t), rng.standard_normal((t, 5))):
+        u = pool.lift(v)
+        assert u.shape == (pool.in_dim,) + v.shape[1:]
+        np.testing.assert_allclose(mat @ u, v, rtol=1e-12, atol=1e-12 * np.abs(v).max())
+        want = np.linalg.pinv(mat) @ v
+        np.testing.assert_allclose(u, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    assert pool.lambda_max == pytest.approx(np.linalg.norm(mat, 2) ** 2, rel=1e-12)
 
 
 def _window_sums(a, mu, pad):
@@ -201,28 +245,6 @@ def test_pool_replay_across_row_blocks_matches_reference_bits(m, t, mu):
     _assert_bits(pool.adjoint(y), pool_ref.adjoint(pool, y))
 
 
-def test_pool_replay_on_a_feature_block_matches_reference_bits():
-    # a full BLOCK_ROWS block of the feature recursion at the oscillatory desk shape
-    rng = np.random.default_rng(16384)
-    pool = Pooling(20, 108)
-    x = _spread(rng, (BLOCK_ROWS, pool.in_dim))
-    _assert_bits(pool.apply(x), pool_ref.apply(pool, x))
-    y = _spread(rng, (BLOCK_ROWS, 20))
-    _assert_bits(pool.adjoint(y), pool_ref.adjoint(pool, y))
-
-
-def _signed_zero_rows(rng, a):
-    """Rows of +0.0, of -0.0, and of both mixed with values, every 512 rows."""
-    m = len(a)
-    for r in range(0, m, 512):
-        a[r] = -0.0
-        a[min(r + 1, m - 1)] = 0.0
-        a[max(r - 1, 0), ::2] = -0.0
-        a[min(r + 2, m - 1)] = np.where(rng.random(a.shape[1]) < 0.5, -0.0, a[min(r + 2, m - 1)])
-    a[m - 1] = -0.0
-    return a
-
-
 @pytest.mark.parametrize("m", [512 - 1, 512, 512 + 1, 2001])
 @pytest.mark.parametrize(
     "t, mu",
@@ -253,52 +275,12 @@ def test_pool_window_major_one_and_three_dim_inputs(t, mu):
         _assert_bits(pool.adjoint(y), pool_ref.adjoint(pool, y))
 
 
-def test_pool_window_major_on_a_halved_feature_block_matches_reference_bits():
-    # a full BLOCK_ROWS block with a window of 300
-    rng = np.random.default_rng(299)
-    pool = Pooling(50, 299)
-    x = _signed_zero_rows(rng, _spread(rng, (BLOCK_ROWS, pool.in_dim)))
-    _assert_bits(pool.apply(x), pool_ref.apply(pool, x))
-    y = _signed_zero_rows(rng, _spread(rng, (BLOCK_ROWS, 50)))
-    _assert_bits(pool.adjoint(y), pool_ref.adjoint(pool, y))
-
-
 @pytest.mark.parametrize("t, mu", _WIDE_SHAPES + [(1, 99)])
 def test_pool_apply_one_and_three_dim_inputs(t, mu):
     rng = np.random.default_rng(t + mu)
     pool = Pooling(t, mu)
     for shape in [(pool.in_dim,), (3, 4, pool.in_dim), (2, 512 + 3, pool.in_dim)]:
         x = _spread(rng, shape)
-        _assert_bits(pool.apply(x), pool_ref.apply(pool, x))
-
-
-def test_pool_apply_random_shapes_match_reference_bits():
-    rng = np.random.default_rng(2025)
-    for _ in range(240):
-        m = int(rng.integers(1, 12))
-        t = int(rng.integers(1, 48))
-        mu = int(rng.integers(0, 320))
-        pool = Pooling(t, mu)
-        x = _spread(rng, (m, t + mu))
-        x[rng.random((m, t + mu)) < 0.1] = -0.0
-        _assert_bits(pool.apply(x), pool_ref.apply(pool, x))
-
-
-def test_pool_apply_single_output_matches_reference_bits():
-    # one window spans the whole last axis, so apply is a plain mean over it
-    rng = np.random.default_rng(11)
-    for mu in (1, 7, 8, 99, 127, 128, 200, 300):
-        pool = Pooling(1, mu)
-        for shape in [(mu + 1,), (1001, mu + 1), (3, 4, mu + 1)]:
-            for scale in (1.0, 1e300, 1e-300):
-                x = rng.standard_normal(shape) * scale
-                x[..., ::3] = 0.0
-                x[..., 1::5] = -0.0
-                _assert_bits(pool.apply(x), pool_ref.apply(pool, x))
-            for zero in (0.0, -0.0):
-                x = np.full(shape, zero)
-                _assert_bits(pool.apply(x), pool_ref.apply(pool, x))
-        x = _spread(rng, (mu + 1, 50)).T  # not contiguous along the window
         _assert_bits(pool.apply(x), pool_ref.apply(pool, x))
 
 

@@ -89,6 +89,19 @@ def test_lipschitz_bound_hand_example():
     assert qp.lipschitz_bound(prob, safety=1.5) == pytest.approx(6.0, rel=1e-8)
 
 
+@pytest.mark.parametrize("t, mu, ridge", [(1, 99, 0.0), (1, 0, 0.5), (20, 108, 0.0), (3, 4, 0.3)])
+def test_lipschitz_bound_is_twice_the_squared_spectral_norms(t, mu, ridge):
+    # L = 2 ||P||_2^2 ||Phi~||_2^2 + 2 ridge, with Phi~ = [F 1]
+    rng = np.random.default_rng(t * 100 + mu)
+    feats = rng.standard_normal((60, 7)) * np.array([1.0, 3.0, 0.1, 5.0, 1.0, 2.0, 0.5])
+    prob = qp.assemble(feats, rng.standard_normal((60, t)), Pooling(t, mu), ridge=ridge)
+    f1 = np.column_stack([feats, np.ones(60)])
+    want = 2.0 * np.linalg.norm(prob.pooling.matrix(), 2) ** 2 * np.linalg.norm(f1, 2) ** 2
+    want += 2.0 * ridge
+    assert qp.lipschitz_bound(prob) == pytest.approx(want, rel=1e-12)
+    assert qp.lipschitz_bound(prob, safety=1.25) == pytest.approx(1.25 * want, rel=1e-12)
+
+
 def test_lipschitz_bound_dominates_gradient_curvature():
     # for a quadratic, |grad(x) - grad(y)| <= L |x - y| with equality along
     # the top eigenvector; random secants must stay below the bound
@@ -420,8 +433,8 @@ def test_single_output_mean_row_at_the_kinked_shape():
 
 @pytest.mark.parametrize("t", [1, 2, 20])
 def test_the_iteration_never_pools(monkeypatch, t):
-    # pooling the start is the only pooling; the loop's cost is its two
-    # products with the features
+    # pooling the start [W b] once is the only pooling; the loop's cost is
+    # its two products with the features
     prob = small_problem(m=20, p=4, in_dim=t + 5, t=t, seed=5)
     lip = qp.lipschitz_bound(prob)
     calls = {}
@@ -445,4 +458,4 @@ def test_the_iteration_never_pools(monkeypatch, t):
         cfg = qp.SolverConfig(epsilon=1e-16, max_iters=max_iters, init="he")
         _, _, stats = qp.nesterov_solve(prob, cfg)
         assert stats.iterations == max_iters
-        assert calls == {"apply": 2}
+        assert calls == {"apply": 1}
