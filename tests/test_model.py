@@ -150,28 +150,54 @@ def test_pool_adjoint_matches_reference_bits(m, t, mu):
     _assert_bits(pool.apply(x), pool_ref.apply(pool, x))
 
 
-def test_pool_random_shapes_match_reference_bits():
-    # every one-output window up to 300 and 240 random shapes, each at
-    # leading shapes (), (m,) and (2, 3), scaled from 1e-300 to 1e300, with
-    # a tenth of the entries -0.0 and the inputs stored row- or column-major
-    rng = np.random.default_rng(2024)
-    shapes = [(1, mu) for mu in range(301)] + [
-        (int(rng.integers(1, 48)), int(rng.integers(0, 320))) for _ in range(240)
-    ]
+def _check_random_shapes(rng, shapes, product):
+    """product(pool) = (fn, ref, width of its input) matches ref in the bits
+    for every (t, mu) in shapes, at leading shapes (), (m,) and (2, 3),
+    scaled from 1e-300 to 1e300, with a tenth of the entries -0.0 and the
+    input stored row- or column-major."""
     for t, mu in shapes:
         pool = Pooling(t, mu)
+        fn, want, width = product(pool)
         m = int(rng.integers(1, 12))
         for lead in [(), (m,), (2, 3)]:
             scale = (1.0, 1e300, 1e-300)[int(rng.integers(0, 3))]
-            x = _spread(rng, lead + (pool.in_dim,)) * scale
-            y = _spread(rng, lead + (t,)) * scale
-            for a in (x, y):
-                a[rng.random(a.shape) < 0.1] = -0.0
-                _with_specials(a)
+            a = _spread(rng, lead + (width,)) * scale
+            a[rng.random(a.shape) < 0.1] = -0.0
+            _with_specials(a)
             if len(lead) == 1 and rng.random() < 0.5:
-                x, y = np.asfortranarray(x), np.asfortranarray(y)
-            _assert_bits(pool.apply(x), pool_ref.apply(pool, x))
-            _assert_bits(pool.adjoint(y), pool_ref.adjoint(pool, y))
+                a = np.asfortranarray(a)
+            _assert_bits(fn(a), want(pool, a))
+
+
+def _random_shapes(rng):
+    return [(int(rng.integers(1, 48)), int(rng.integers(0, 320))) for _ in range(240)]
+
+
+def test_pool_adjoint_single_output_matches_reference_bits():
+    # t = 1: every window holds the one y entry among +0.0s
+    rng = np.random.default_rng(1)
+    for mu in range(301):
+        pool = Pooling(1, mu)
+        for shape in [(1,), (len(_SPECIAL) + 4, 1), (2, 3, 1)]:
+            y = _with_specials(_spread(rng, shape))
+            got = pool.adjoint(y)
+            assert got.flags.c_contiguous
+            _assert_bits(got, pool_ref.adjoint(pool, y))
+
+
+def test_pool_adjoint_random_shapes_match_reference_bits():
+    rng = np.random.default_rng(2024)
+    _check_random_shapes(
+        rng, _random_shapes(rng), lambda pool: (pool.adjoint, pool_ref.adjoint, pool.out_dim)
+    )
+
+
+def test_pool_apply_random_shapes_match_reference_bits():
+    # every one-output window up to 300, where apply is a mean over the whole
+    # last axis, and 240 random shapes
+    rng = np.random.default_rng(2025)
+    shapes = [(1, mu) for mu in range(301)] + _random_shapes(rng)
+    _check_random_shapes(rng, shapes, lambda pool: (pool.apply, pool_ref.apply, pool.in_dim))
 
 
 @pytest.mark.parametrize("t, mu", [(1, 99), (20, 108), (3, 5), (4, 0), (2, 300)])
