@@ -147,8 +147,10 @@ class Pooling:
     With n = mu+1, K = P P^T is the overlap count of two windows over n^2:
     K = overlap / n with overlap(i, j) = max(0, n - |i-j|) / n, exactly 1.0
     on the diagonal.  lift is the minimum-norm right inverse
-    P^T K^-1 = (n P)^T overlap^-1, and lambda_max is the largest
-    eigenvalue of K, ||P||_2^2; all three are made once per Pooling.
+    P^T K^-1 = (n P)^T overlap^-1, lift_sq_norm is ||lift(v)||^2 from
+    overlap^-1 alone, and lambda_max is the largest eigenvalue of K,
+    ||P||_2^2; P, overlap, its inverse, lift's matrix and lambda_max are
+    made once per Pooling.
     """
 
     out_dim: int
@@ -181,9 +183,13 @@ class Pooling:
         return o
 
     @cached_property
+    def _overlap_inv(self) -> np.ndarray:
+        return np.linalg.inv(self.overlap)
+
+    @cached_property
     def _right_inverse(self) -> np.ndarray:
         windows = (self._matrix > 0.0).astype(float)  # (mu+1) P: 1 inside each window
-        return windows.T @ np.linalg.inv(self.overlap)
+        return windows.T @ self._overlap_inv
 
     @cached_property
     def lambda_max(self) -> float:
@@ -207,6 +213,12 @@ class Pooling:
         """P^T (P P^T)^-1 v, the minimum-norm u with P u = v, for v of out_dim
         rows (a vector or a matrix of columns)."""
         return self._right_inverse @ v
+
+    def lift_sq_norm(self, v: np.ndarray) -> float:
+        """||lift(v)||^2 = (mu+1) tr(v^T overlap^-1 v), from out_dim x out_dim
+        work only."""
+        v = np.asarray(v, dtype=float)
+        return (self.mu + 1) * float(v.ravel() @ (self._overlap_inv @ v).ravel())
 
     def matrix(self) -> np.ndarray:
         """P, read-only."""

@@ -214,10 +214,10 @@ def nesterov_solve(problem: Problem, cfg: SolverConfig) -> tuple[np.ndarray, np.
 
         J = ||Y - F V^T - c||^2 + ridge * (||lift([V c])||^2 + s^2 ||[D d]||^2)
 
-    since ||lift(x)||^2 = tr(x^T (P P^T)^-1 x).  The momentum is linear, so
-    F V^T at the extrapolated point is the same combination of F V^T at
-    the last two iterates: each step makes one product with F and one with
-    F^T, and nothing is pooled but the start.  The result
+    with ||lift(x)||^2 = tr(x^T (P P^T)^-1 x) from Pooling.lift_sq_norm.
+    The momentum is linear, so F V^T at the extrapolated point is the same
+    combination of F V^T at the last two iterates: each step makes one
+    product with F and one with F^T, and nothing is pooled but the start.  The result
     [W b] = s [D d] + lift([V c]) is the full iteration's iterate up to
     rounding.  S is built as (2/(nL)) * Pooling.overlap with n = mu + 1,
     which is exactly the scalar 2/(nL) for one pooled output.
@@ -251,8 +251,7 @@ def nesterov_solve(problem: Problem, cfg: SolverConfig) -> tuple[np.ndarray, np.
         r -= theta[:, p]
         total = float(r.ravel() @ r.ravel())
         if ridge > 0.0:
-            lifted = pool.lift(theta)
-            total += ridge * (float(lifted.ravel() @ lifted.ravel()) + s**2 * dev_sq)
+            total += ridge * (pool.lift_sq_norm(theta) + s**2 * dev_sq)
         return total
 
     s = 1.0

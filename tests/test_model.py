@@ -179,7 +179,9 @@ def test_pool_adjoint_single_output_matches_reference_bits():
     for mu in range(301):
         pool = Pooling(1, mu)
         for shape in [(1,), (len(_SPECIAL) + 4, 1), (2, 3, 1)]:
-            y = _with_specials(_spread(rng, shape))
+            y = _spread(rng, shape)
+            if len(shape) == 2:
+                y[: len(_SPECIAL), 0] = _SPECIAL
             got = pool.adjoint(y)
             assert got.flags.c_contiguous
             _assert_bits(got, pool_ref.adjoint(pool, y))
@@ -193,8 +195,8 @@ def test_pool_adjoint_random_shapes_match_reference_bits():
 
 
 def test_pool_apply_random_shapes_match_reference_bits():
-    # every one-output window up to 300, where apply is a mean over the whole
-    # last axis, and 240 random shapes
+    # every one-output window up to 300, the kinked grades' width, and 240
+    # random shapes
     rng = np.random.default_rng(2025)
     shapes = [(1, mu) for mu in range(301)] + _random_shapes(rng)
     _check_random_shapes(rng, shapes, lambda pool: (pool.apply, pool_ref.apply, pool.in_dim))
@@ -220,6 +222,7 @@ def test_pool_lift_is_the_minimum_norm_right_inverse(t, mu):
         np.testing.assert_allclose(mat @ u, v, rtol=1e-12, atol=1e-12 * np.abs(v).max())
         want = np.linalg.pinv(mat) @ v
         np.testing.assert_allclose(u, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        assert pool.lift_sq_norm(v) == pytest.approx(float(np.sum(u * u)), rel=1e-12)
     assert pool.lambda_max == pytest.approx(np.linalg.norm(mat, 2) ** 2, rel=1e-12)
 
 
