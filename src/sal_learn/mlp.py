@@ -56,26 +56,19 @@ class MlpParams:
             return f"{hidden[0]}x{len(hidden)}"
         return "-".join(str(h) for h in hidden)
 
-    def forward(self, x: np.ndarray):
-        """Prediction plus the per-layer pre-activations and activations."""
+    def _through(self, x: np.ndarray, layers: int) -> np.ndarray:
+        """The activation output of the first `layers` layers at x."""
         a = np.asarray(x, dtype=float)
-        pre_acts = []
-        acts = [a]
-        for w, b, act in zip(self.weights, self.biases, self.activations):
-            z = a @ w.T + b
-            a = act(z)
-            pre_acts.append(z)
-            acts.append(a)
-        return a, pre_acts, acts
+        for w, b, act in zip(self.weights[:layers], self.biases[:layers], self.activations[:layers]):
+            a = act(a @ w.T + b)
+        return a
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x)[0]
+        return self._through(x, len(self.weights))
 
     def hidden(self, x: np.ndarray) -> np.ndarray:
         """Last hidden layer's activation output (the input if no hidden layers)."""
-        if len(self.weights) == 1:
-            return np.asarray(x, dtype=float)
-        return self.forward(x)[2][-2]
+        return self._through(x, len(self.weights) - 1)
 
 
 def he_init(
@@ -101,7 +94,7 @@ def he_init(
 def loss_and_grads(params: MlpParams, x: np.ndarray, y: np.ndarray):
     """Sum-of-squares loss and its exact gradients by reverse accumulation.
 
-    The forward pass is that of MlpParams.forward, and it keeps each layer's
+    The forward pass is that of MlpParams.predict, and it keeps each layer's
     activation derivative, computed from the same sines and cosines (or
     tanh values) as the activation (Activation.value_and_derivative).
     """

@@ -146,11 +146,12 @@ class Pooling:
 
     With n = mu+1, K = P P^T is the overlap count of two windows over n^2:
     K = overlap / n with overlap(i, j) = max(0, n - |i-j|) / n, exactly 1.0
-    on the diagonal.  lift is the minimum-norm right inverse
-    P^T K^-1 = (n P)^T overlap^-1, lift_sq_norm is ||lift(v)||^2 from
-    overlap^-1 alone, and lambda_max is the largest eigenvalue of K,
-    ||P||_2^2; P, overlap, its inverse, lift's matrix and lambda_max are
-    made once per Pooling.
+    on the diagonal.  One symmetric eigendecomposition of overlap, made once
+    per Pooling, gives both its inverse and its largest eigenvalue.  lift is
+    the minimum-norm right inverse P^T K^-1 = (n P)^T overlap^-1,
+    lift_sq_norm is ||lift(v)||^2 from overlap^-1 alone, and lambda_max is
+    the largest eigenvalue of K, ||P||_2^2; P, overlap, its eigenpairs and
+    inverse, lift's matrix and lambda_max are made once per Pooling.
     """
 
     out_dim: int
@@ -183,8 +184,13 @@ class Pooling:
         return o
 
     @cached_property
+    def _overlap_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.linalg.eigh(self.overlap)
+
+    @cached_property
     def _overlap_inv(self) -> np.ndarray:
-        return np.linalg.inv(self.overlap)
+        vals, vecs = self._overlap_eigh
+        return (vecs / vals) @ vecs.T
 
     @cached_property
     def _right_inverse(self) -> np.ndarray:
@@ -194,7 +200,7 @@ class Pooling:
     @cached_property
     def lambda_max(self) -> float:
         """The largest eigenvalue of P P^T, ||P||_2^2."""
-        return float(np.linalg.eigvalsh(self.overlap)[-1]) / (self.mu + 1)
+        return float(self._overlap_eigh[0][-1]) / (self.mu + 1)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -4,34 +4,38 @@ Objective, over a weight matrix W and bias b:
 
     J(W, b) = sum_j ||targets_j - P(W phi_j + b)||^2 + ridge * (||W||_F^2 + ||b||^2)
 
-Nesterov's accelerated gradient with a constant 1/L step solves it
-iteratively; a direct two-stage oracle (unconstrained least squares by a
-truncated SVD of the feature matrix, then a minimum-norm lift through the
-pooling matrix) provides the exact answer for ridge = 0, up to the singular
-values it cuts.  What either solver needs of P comes from the Pooling:
-its right inverse lift = P^T (P P^T)^-1, the overlap matrix behind
-P P^T, and lambda_max = ||P||_2^2 in L.
+The bias is one more column: with the augmented features F~ = [F 1]
+(Problem.augmented, made once per problem) the unknowns are the one
+matrix [W b], and the pooled fit is F~ [W b]^T P^T.  Nesterov's accelerated
+gradient with a constant 1/L step solves it iteratively; a direct
+two-stage oracle (unconstrained least squares of F~ by LAPACK's truncated
+SVD, then a minimum-norm lift through the pooling matrix) provides the
+exact answer for ridge = 0, up to the singular values it cuts.  What
+either solver needs of P comes from the Pooling: its right inverse
+lift = P^T (P P^T)^-1, the overlap matrix behind P P^T, and
+lambda_max = ||P||_2^2 in L.
 
-The residual sees (W, b) only through the pooled image (P W, P b), and every
-gradient step moves only the range(P^T) part of (W, b); the rest it scales
+The residual sees [W b] only through its pooled image P [W b], and every
+gradient step moves only the range(P^T) part of [W b]; the rest it scales
 by 1 - 2*ridge/L.  So the accelerated iteration runs on the pooled image,
 t x (p + 1) unknowns, plus that one scale (see nesterov_solve), at two
-(m x p x t) products per step with no pooling.  It takes the full
-iteration's steps up to rounding.  residual, objective and gradient are
-the full-(W, b) forms, which orthogonality_defect and the tests use.
+(m x (p+1) x t) products with F~ per step and no pooling.  It takes the
+full iteration's steps up to rounding.  residual, objective and gradient
+are the full-(W, b) forms, which orthogonality_defect and the tests use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .model import Pooling
 from .rng import SplitMix64
 
-# direct_solve keeps the singular values of [F 1] above CUTOFF times the
+# direct_solve keeps the singular values of F~ = [F 1] above CUTOFF times the
 # largest.  Smaller ones give coefficients that cancel on the training grid
 # and blow up between its points, where the smoothing quadrature samples.
 # On the oscillatory benchmark (seeds 1-13) no grade raised rse_train at
@@ -41,6 +45,9 @@ CUTOFF = 1e-4
 
 @dataclass
 class Problem:
+    """One grade's least squares.  `augmented`, F~ = [F 1] of (m, p+1), is
+    made on first use and lives as long as the problem."""
+
     features: np.ndarray  # (m, p): rows are N_{k-1} at the train points
     targets: np.ndarray  # (m, t): rows are the current residual
     pooling: Pooling
@@ -53,6 +60,10 @@ class Problem:
     @property
     def n_features(self) -> int:
         return self.features.shape[1]
+
+    @cached_property
+    def augmented(self) -> np.ndarray:
+        return np.column_stack([self.features, np.ones(self.n_samples)])
 
 
 def assemble(
@@ -124,12 +135,12 @@ def gradient(
 def lipschitz_bound(problem: Problem, safety: float = 1.0) -> float:
     """The Lipschitz constant of the objective gradient, times safety.
 
-    L = 2 * ||P||_2^2 * ||Phi~||_2^2 + 2*ridge, with Phi~ the feature matrix
-    plus a ones column.  ||P||_2^2 is Pooling.lambda_max and ||Phi~||_2^2
-    the largest eigenvalue of Phi~^T Phi~, each from eigvalsh of a small
-    symmetric matrix, so L is exact to rounding.
+    L = 2 * ||P||_2^2 * ||F~||_2^2 + 2*ridge, with F~ = problem.augmented.
+    ||P||_2^2 is Pooling.lambda_max and ||F~||_2^2 the largest eigenvalue
+    of F~^T F~, each from a symmetric eigensolve of a small matrix, so L is
+    exact to rounding.
     """
-    f1 = np.column_stack([problem.features, np.ones(problem.n_samples)])
+    f1 = problem.augmented
     lam_f = float(np.linalg.eigvalsh(f1.T @ f1)[-1])
     return safety * (2.0 * problem.pooling.lambda_max * lam_f + 2.0 * problem.ridge)
 
@@ -202,60 +213,56 @@ def nesterov_solve(problem: Problem, cfg: SolverConfig) -> tuple[np.ndarray, np.
     drops below cfg.epsilon, or at max_iters.  The trace, when recorded,
     holds J at every iterate starting from the initial point.
 
-    The iteration runs in pooled coordinates.  The residual depends on
-    (W, b) only through V = P W and c = P b, and a step on (W, b) adds
-    (2/L) P^T R^T [F 1] to the shrunk iterate, with shrink = 1 - 2*ridge/L
-    and R the residual at the extrapolated point.  So it moves only the
-    range(P^T) part of (W, b), V by S R^T F and c by S R^T 1 with
-    S = (2/L) P P^T, and merely scales the rest: the start's part
-    [D d] = [W0 b0] - lift([V0 c0]), with lift = Pooling.lift, all by one
-    factor s (exactly 1 at ridge 0).  The state (V, c, s) is t x (p + 1)
-    plus one number, and
+    The iteration runs in pooled coordinates.  With F~ = problem.augmented
+    the residual depends on [W b] only through its pooled image
+    Theta = P [W b] = [V c], and a step on [W b] adds (2/L) P^T R^T F~ to
+    the shrunk iterate, with shrink = 1 - 2*ridge/L and R the residual at
+    the extrapolated point.  So it moves only the range(P^T) part of
+    [W b], Theta by S R^T F~ with S = (2/L) P P^T, and merely scales the
+    rest: the start's part [D d] = [W0 b0] - lift(Theta0), with
+    lift = Pooling.lift, all by one factor s (exactly 1 at ridge 0).  The
+    state (Theta, s) is t x (p + 1) plus one number, and
 
-        J = ||Y - F V^T - c||^2 + ridge * (||lift([V c])||^2 + s^2 ||[D d]||^2)
+        J = ||Y - F~ Theta^T||^2 + ridge * (||lift(Theta)||^2 + s^2 ||[D d]||^2)
 
     with ||lift(x)||^2 = tr(x^T (P P^T)^-1 x) from Pooling.lift_sq_norm.
-    The momentum is linear, so F V^T at the extrapolated point is the same
-    combination of F V^T at the last two iterates: each step makes one
-    product with F and one with F^T, and nothing is pooled but the start.  The result
-    [W b] = s [D d] + lift([V c]) is the full iteration's iterate up to
-    rounding.  S is built as (2/(nL)) * Pooling.overlap with n = mu + 1,
-    which is exactly the scalar 2/(nL) for one pooled output.
+    The momentum is linear, so F~ Theta^T at the extrapolated point is the
+    same combination of F~ Theta^T at the last two iterates: each step makes
+    one product with F~ and one with F~^T, and nothing is pooled but the
+    start.  The result [W b] = s [D d] + lift(Theta) is the full
+    iteration's iterate up to rounding.  S is built as
+    (2/(nL)) * Pooling.overlap with n = mu + 1, which is exactly the scalar
+    2/(nL) for one pooled output.
     """
     if cfg.method != "nesterov":
         raise ValueError("nesterov_solve needs cfg.method == 'nesterov'")
     lip = lipschitz_bound(problem, cfg.lipschitz_safety)
     pool = problem.pooling
     shape = (pool.in_dim, problem.n_features)
+    wb = np.zeros((shape[0], shape[1] + 1))  # [W0 b0]; biases start at zero
     if cfg.init in ("he", "randn"):
         stream = SplitMix64(cfg.init_seed)
         std = math.sqrt(2.0 / shape[1]) if cfg.init == "he" else 1.0
         std *= cfg.init_scale
-        w = std * stream.standard_normals(shape[0] * shape[1]).reshape(shape)
-    else:
-        w = np.zeros(shape)
-    b = np.zeros(shape[0])
-    feats = problem.features
+        wb[:, :-1] = std * stream.standard_normals(shape[0] * shape[1]).reshape(shape)
+    f1 = problem.augmented
     y = problem.targets
     ridge = problem.ridge
-    p = problem.n_features
     step = (2.0 / ((pool.mu + 1) * lip)) * pool.overlap
     shrink = 1.0 - 2.0 * ridge / lip
-    wb = np.column_stack([w, b])
     theta = pool.apply(wb.T).T  # [V c]
     dev = wb - pool.lift(theta)  # [D d]
     dev_sq = float(dev.ravel() @ dev.ravel())
 
     def objective_at(theta, s, fv):
         r = y - fv
-        r -= theta[:, p]
         total = float(r.ravel() @ r.ravel())
         if ridge > 0.0:
             total += ridge * (pool.lift_sq_norm(theta) + s**2 * dev_sq)
         return total
 
     s = 1.0
-    fv = feats @ theta[:, :p].T
+    fv = f1 @ theta.T
     theta_prev, s_prev, fv_prev = theta, s, fv
     theta_y, s_y, fv_y = theta, s, fv
     t_mom = 1.0
@@ -266,10 +273,9 @@ def nesterov_solve(problem: Problem, cfg: SolverConfig) -> tuple[np.ndarray, np.
     j_val = j_prev
     for it in range(1, cfg.max_iters + 1):
         r = y - fv_y
-        r -= theta_y[:, p]
-        theta_new = shrink * theta_y + step @ np.column_stack([r.T @ feats, r.sum(axis=0)])
+        theta_new = shrink * theta_y + step @ (r.T @ f1)
         s_new = shrink * s_y
-        fv_new = feats @ theta_new[:, :p].T
+        fv_new = f1 @ theta_new.T
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
         coef = (t_mom - 1.0) / t_next
         theta_y = theta_new + coef * (theta_new - theta_prev)
@@ -297,30 +303,29 @@ def nesterov_solve(problem: Problem, cfg: SolverConfig) -> tuple[np.ndarray, np.
         lipschitz=lip,
     )
     wb = s_prev * dev + pool.lift(theta_prev)
-    return np.ascontiguousarray(wb[:, :p]), wb[:, p].copy(), stats
+    return np.ascontiguousarray(wb[:, :-1]), wb[:, -1].copy(), stats
 
 
 def direct_solve(problem: Problem) -> tuple[np.ndarray, np.ndarray, SolveStats]:
     """Two-stage exact solver (ridge = 0 only).
 
-    Stage 1 solves the unconstrained least squares min_M ||E - Phi~ M||_F^2
-    by a truncated SVD of Phi~ = U S V^T: it keeps the singular values above
-    CUTOFF times the largest and sets M = V_k S_k^-1 U_k^T E.  Phi~ M is then
-    the orthogonal projection of E onto the kept left singular vectors U_k,
-    and M the minimum-norm solution on them.  Stage 2 lifts M to grade
-    parameters through the pooling matrix's right inverse — the minimum-norm
-    preimage, which is the tie-break for the non-unique minimizer.
+    Stage 1 solves the unconstrained least squares min_M ||E - F~ M||_F^2,
+    F~ = problem.augmented = U S V^T, by a truncated SVD: one LAPACK
+    least-squares call (np.linalg.lstsq, gelsd) with rcond = CUTOFF treats
+    the singular values at or below CUTOFF times the largest as zero and
+    returns M = V_k S_k^-1 U_k^T E.  F~ M is then the orthogonal projection
+    of E onto the kept left singular vectors U_k, and M the minimum-norm
+    solution on them.  Stage 2 lifts M to grade parameters through the
+    pooling matrix's right inverse — the minimum-norm preimage, which is the
+    tie-break for the non-unique minimizer.
 
     SolveStats.note reads "rank r of p+1" when columns were cut, and
     iterations is 0.
     """
     if problem.ridge != 0.0:
         raise ValueError("direct solver requires ridge = 0")
-    f1 = np.column_stack([problem.features, np.ones(problem.n_samples)])
-    u, sv, vt = np.linalg.svd(f1, full_matrices=False)
-    kept = sv > CUTOFF * sv[0]
-    sol = vt[kept].T @ ((u[:, kept].T @ problem.targets) / sv[kept, None])
-    rank = int(np.count_nonzero(kept))
+    f1 = problem.augmented
+    sol, _, rank, _ = np.linalg.lstsq(f1, problem.targets, rcond=CUTOFF)
     theta = problem.pooling.lift(sol.T)  # (in_dim, p+1)
     weight = np.ascontiguousarray(theta[:, :-1])
     bias = theta[:, -1].copy()
@@ -343,22 +348,19 @@ def solve(problem: Problem, cfg: SolverConfig):
 def orthogonality_defect(problem: Problem, weight: np.ndarray, bias: np.ndarray) -> float:
     """Max cosine between the fit residual and any parameter basis direction.
 
-    Each W entry (a, c) moves predictions along d(j) = P e_a * phi_j[c] and
-    each bias entry along d(j) = P e_a; at a least-squares optimum the
-    residual is orthogonal to all of them (the projection characterization),
-    so small values certify near-optimality independent of scaling.
+    Each entry (a, c) of [W b] moves predictions along d(j) = P e_a * f~_j[c],
+    with f~_j the row j of F~ = problem.augmented (its last entry 1 for the
+    bias); at a least-squares optimum the residual is orthogonal to all of
+    them (the projection characterization), so small values certify
+    near-optimality independent of scaling.
     """
     r = residual(problem, weight, bias)
     r_norm = float(np.sqrt(np.sum(r * r)))
     if r_norm == 0.0:
         return 0.0
-    adj = problem.pooling.adjoint(r)
-    ip_w = adj.T @ problem.features  # (in_dim, p): <r, d_ac>
-    ip_b = adj.sum(axis=0)  # (in_dim,)
+    f1 = problem.augmented
+    ip = problem.pooling.adjoint(r).T @ f1  # (in_dim, p+1): <r, d_ac>
     col_p = np.sum(problem.pooling.matrix() ** 2, axis=0)  # ||P e_a||^2
-    col_f = np.sum(problem.features**2, axis=0)  # sum_j phi_j[c]^2
-    denom_w = np.sqrt(np.outer(col_p, col_f)) * r_norm
-    denom_b = np.sqrt(col_p * problem.n_samples) * r_norm
-    cos_w = np.abs(ip_w) / np.maximum(denom_w, 1e-300)
-    cos_b = np.abs(ip_b) / np.maximum(denom_b, 1e-300)
-    return float(max(cos_w.max(), cos_b.max()))
+    col_f = np.sum(f1**2, axis=0)  # sum_j f~_j[c]^2
+    denom = np.sqrt(np.outer(col_p, col_f)) * r_norm
+    return float((np.abs(ip) / np.maximum(denom, 1e-300)).max())

@@ -78,26 +78,16 @@ def select_activation(
 ) -> tuple[np.ndarray, bool]:
     """Least-squares weights making the pooled combined activation track the residual.
 
-    Solves the basis-size normal equations; a singular Gram matrix falls back
-    to the minimum-norm solution (eigendecomposition, eigenvalues below
-    1e-12 * lambda_max dropped) and is flagged.
+    One truncated-SVD least squares (np.linalg.lstsq) over the pooled
+    candidates, each raveled into a column: singular values at or below
+    1e-6 times the largest count as zero, the cut of eigenvalues below
+    1e-12 * lambda_max of their Gram matrix.  Then the weights are the
+    minimum-norm solution, and a cut (rank below the number of candidates,
+    all of them when every candidate pools to zero) is flagged.
     """
-    pooled = [pooling.apply(act(pre_activations)) for act in basis]
-    n = len(pooled)
-    gram = np.empty((n, n))
-    rhs = np.empty(n)
-    for i in range(n):
-        rhs[i] = np.sum(pooled[i] * residual)
-        for j in range(i, n):
-            gram[i, j] = gram[j, i] = np.sum(pooled[i] * pooled[j])
-    vals, vecs = np.linalg.eigh(gram)
-    cutoff = 1e-12 * max(float(vals[-1]), 0.0)
-    keep = vals > cutoff
-    flagged = bool(np.any(~keep))
-    if not np.any(keep):
-        return np.zeros(n), True
-    coeffs = (vecs[:, keep].T @ rhs) / vals[keep]
-    return vecs[:, keep] @ coeffs, flagged
+    pooled = np.column_stack([pooling.apply(act(pre_activations)).ravel() for act in basis])
+    coeffs, _, rank, _ = np.linalg.lstsq(pooled, residual.ravel(), rcond=1e-6)
+    return coeffs, bool(rank < len(basis))
 
 
 def _component_smoother(cfg: GradeConfig) -> smoothing.Smoother | None:
@@ -173,8 +163,9 @@ def train_grade(
         feats = carried.plain.feats
         pooling = Pooling(out_dim=t, mu=cfg.width - t)
         ridge = cfg.solver.ridge if cfg.solver.method == "nesterov" else 0.0
-        problem = qp.assemble(feats, residual, pooling, ridge)
-        weight, bias, stats = qp.solve(problem, cfg.solver)
+        # no name holds the problem, so its [F 1] is freed before the
+        # component's node chain runs
+        weight, bias, stats = qp.solve(qp.assemble(feats, residual, pooling, ridge), cfg.solver)
     except Exception as exc:
         raise RuntimeError(f"grade {k + 1} failed: {exc}") from exc
 

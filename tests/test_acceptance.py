@@ -258,7 +258,10 @@ def test_c06_gradient_oracles():
         y = rng.standard_normals(6 * t).reshape(6, t)
         params = mlp.he_init(s, widths, t, acts, SplitMix64(seed))
         if any(a.kind == "relu" for a in acts):
-            _, pre_acts, _ = params.forward(x)
+            a, pre_acts = x, []
+            for w, b, act in zip(params.weights, params.biases, params.activations):
+                pre_acts.append(a @ w.T + b)
+                a = act(pre_acts[-1])
             assert min(np.min(np.abs(p)) for p in pre_acts[1:-1]) > 1e-4
         loss0, gw, gb = mlp.loss_and_grads(params, x, y)
         scale = max(1.0, abs(loss0))

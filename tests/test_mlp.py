@@ -62,6 +62,30 @@ def test_affine_network_predict_and_hidden():
     assert params.input_dim == 1 and params.output_dim == 1
 
 
+def _forward(params, x):
+    """Prediction plus the per-layer pre-activations and activations, by hand."""
+    a = np.asarray(x, dtype=float)
+    pre_acts, acts = [], [a]
+    for w, b, act in zip(params.weights, params.biases, params.activations):
+        pre_acts.append(a @ w.T + b)
+        a = act(pre_acts[-1])
+        acts.append(a)
+    return a, pre_acts, acts
+
+
+@pytest.mark.parametrize(
+    "widths, acts",
+    [([], []), ([7], [TANH]), ([4, 3], [SINCOS_HALF, RELU]), ([50] * 6, [SINCOS_HALF] * 2 + [RELU] * 4)],
+)
+def test_hidden_and_predict_have_the_bits_of_a_hand_loop(widths, acts):
+    # hidden stops before the output layer; predict runs it too
+    params = mlp.he_init(2, widths, 3, acts, SplitMix64(11))
+    x = SplitMix64(12).standard_normals(2 * 37).reshape(37, 2)
+    pred, _, layer_outputs = _forward(params, x)
+    assert np.array_equal(params.hidden(x), layer_outputs[-2])
+    assert np.array_equal(params.predict(x), pred)
+
+
 def test_loss_and_grads_hand_example():
     # scalar affine net: pred = 2*1 + 0 = 2, y = 1 -> loss 1, dL/dw = 2, dL/db = 2
     params = mlp.MlpParams([np.array([[2.0]])], [np.zeros(1)], [IDENTITY])
@@ -75,7 +99,7 @@ def _loss_and_grads_recomputing(params, x, y):
     """loss_and_grads as it was before the forward pass kept the
     derivatives: each derivative recomputed from the stored pre-activations."""
     y = np.asarray(y, dtype=float)
-    pred, pre_acts, acts = params.forward(x)
+    pred, pre_acts, acts = _forward(params, x)
     diff = pred - y
     loss = float(np.sum(diff * diff))
     delta = 2.0 * diff * params.activations[-1].derivative(pre_acts[-1])
@@ -115,7 +139,7 @@ def test_gradients_match_central_differences():
     y = rng.standard_normals(12).reshape(6, 2)
     params = mlp.he_init(2, [4, 3], 2, [SINCOS_HALF, RELU], SplitMix64(8))
     # keep relu pre-activations clear of the kink for the FD probe
-    _, pre_acts, _ = params.forward(x)
+    _, pre_acts, _ = _forward(params, x)
     assert np.min(np.abs(pre_acts[1])) > 1e-4
     loss0, gw, gb = mlp.loss_and_grads(params, x, y)
     h = 1e-6

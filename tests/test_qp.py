@@ -351,11 +351,36 @@ def test_direct_full_rank_matches_lstsq():
     assert np.allclose(sol, want, rtol=0.0, atol=1e-10 * np.max(np.abs(want)))
 
 
+def test_direct_solve_cuts_at_cutoff_like_a_hand_truncated_svd():
+    # [F 1] = Q diag(s) W^T with Q's first column the normalized ones and
+    # W[p] = e_0, so the last column is ones and the singular values are s:
+    # six above CUTOFF * s[0] and three below, the nearest a factor 1.4 away
+    m, p, t, mu = 300, 8, 3, 4
+    rng = np.random.default_rng(35)
+    q, _ = np.linalg.qr(np.column_stack([np.ones(m), rng.standard_normal((m, p))]))
+    q *= np.sign(q[0, 0])
+    s = math.sqrt(m) * np.array([1.0, 0.5, 0.1, 1e-2, 3e-4, 1.5e-4, 7e-5, 2e-5, 1e-7])
+    w_rot, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    feats = (q[:, 1:] * s[1:]) @ w_rot.T
+    targets = rng.standard_normal((m, t))
+    prob = qp.assemble(feats, targets, Pooling(out_dim=t, mu=mu), 0.0)
+    w, b, stats = qp.direct_solve(prob)
+    u, sv, vt = np.linalg.svd(prob.augmented, full_matrices=False)
+    np.testing.assert_allclose(sv, s, rtol=1e-8)
+    k = sv > qp.CUTOFF * sv[0]
+    assert np.count_nonzero(k) == 6
+    assert stats.note == f"rank {np.count_nonzero(k)} of {p + 1}"
+    want = vt[k].T @ ((u[:, k].T @ targets) / sv[k, None])
+    sol = (prob.pooling.matrix() @ np.column_stack([w, b])).T
+    np.testing.assert_allclose(sol, want, rtol=1e-10, atol=1e-10 * np.max(np.abs(want)))
+
+
 def test_orthogonality_defect_small_at_optimum_large_away():
     prob = small_problem(seed=17)
     w, b, _ = qp.direct_solve(prob)
     assert qp.orthogonality_defect(prob, w, b) < 1e-9
     assert qp.orthogonality_defect(prob, w + 0.5, b) > 1e-3
+    assert qp.orthogonality_defect(prob, w, b + 0.5) > 1e-3
 
 
 def test_ridge_shrinks_weights():

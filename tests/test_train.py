@@ -118,6 +118,15 @@ def test_select_activation_flags_singular_gram():
     assert np.allclose(combined, residual, atol=1e-10)
 
 
+def test_select_activation_flags_candidates_that_all_pool_to_zero():
+    pre = np.zeros((12, 5))
+    pooling = Pooling(out_dim=2, mu=3)
+    residual = np.random.default_rng(2).normal(size=(12, 2))
+    alpha, flagged = select_activation([RELU, TANH, IDENTITY], pre, pooling, residual)
+    assert flagged
+    assert np.array_equal(alpha, np.zeros(3))
+
+
 def test_grade_records_carry_solver_outcome():
     x = np.linspace(-1.0, 1.0, 40)
     ds = Dataset(x[:, None], np.abs(x)[:, None], "train_grid", -1.0, 1.0)
