@@ -146,12 +146,12 @@ class Pooling:
 
     With n = mu+1, K = P P^T is the overlap count of two windows over n^2:
     K = overlap / n with overlap(i, j) = max(0, n - |i-j|) / n, exactly 1.0
-    on the diagonal.  One symmetric eigendecomposition of overlap, made once
-    per Pooling, gives both its inverse and its largest eigenvalue.  lift is
-    the minimum-norm right inverse P^T K^-1 = (n P)^T overlap^-1,
-    lift_sq_norm is ||lift(v)||^2 from overlap^-1 alone, and lambda_max is
-    the largest eigenvalue of K, ||P||_2^2; P, overlap, its eigenpairs and
-    inverse, lift's matrix and lambda_max are made once per Pooling.
+    on the diagonal.  lift is the minimum-norm right inverse
+    P^T K^-1 = (n P)^T overlap^-1, lift_sq_norm is ||lift(v)||^2 from
+    overlap^-1 alone, and lambda_max is the largest eigenvalue of K,
+    ||P||_2^2; overlap^-1 and lambda_max both come from one eigh of overlap.
+    P, overlap, its eigenpairs and inverse, lift's matrix and lambda_max are
+    made once per Pooling.
     """
 
     out_dim: int

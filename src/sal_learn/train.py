@@ -80,10 +80,10 @@ def select_activation(
 
     One truncated-SVD least squares (np.linalg.lstsq) over the pooled
     candidates, each raveled into a column: singular values at or below
-    1e-6 times the largest count as zero, the cut of eigenvalues below
-    1e-12 * lambda_max of their Gram matrix.  Then the weights are the
-    minimum-norm solution, and a cut (rank below the number of candidates,
-    all of them when every candidate pools to zero) is flagged.
+    1e-6 times the largest count as zero, which drops the eigenvalues of
+    the candidates' Gram matrix below 1e-12 times its largest.  The weights
+    are the minimum-norm solution, and a cut (rank below the number of
+    candidates, all of them when every candidate pools to zero) is flagged.
     """
     pooled = np.column_stack([pooling.apply(act(pre_activations)).ravel() for act in basis])
     coeffs, _, rank, _ = np.linalg.lstsq(pooled, residual.ravel(), rcond=1e-6)

@@ -376,7 +376,11 @@ def test_direct_solve_cuts_at_cutoff_like_a_hand_truncated_svd():
 
 
 def test_orthogonality_defect_small_at_optimum_large_away():
+    # centered features: moving b off the optimum moves the residual along
+    # directions orthogonal to every weight direction, so only the bias
+    # column of [F 1] can see it
     prob = small_problem(seed=17)
+    prob = qp.assemble(prob.features - prob.features.mean(axis=0), prob.targets, prob.pooling)
     w, b, _ = qp.direct_solve(prob)
     assert qp.orthogonality_defect(prob, w, b) < 1e-9
     assert qp.orthogonality_defect(prob, w + 0.5, b) > 1e-3

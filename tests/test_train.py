@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,28 @@ def test_residual_never_worsens_with_direct_solver():
     cfg = TrainConfig(grades=[GradeConfig(width=4, solver=DIRECT)])
     _, report = train_sal(ds, cfg)
     assert report.records[0].rse_train <= 1.0 + 1e-12
+
+
+def test_train_grade_frees_the_problem_before_the_component_chain(monkeypatch):
+    # the problem holds [F 1], as large as the features; the component's
+    # node chain must not run while it is alive
+    problems = []
+    assemble, component = qp.assemble, train_mod._Carried.component
+
+    def assemble_spy(*args, **kwargs):
+        prob = assemble(*args, **kwargs)
+        problems.append(weakref.ref(prob))
+        return prob
+
+    def component_spy(self, *args, **kwargs):
+        assert problems[-1]() is None
+        return component(self, *args, **kwargs)
+
+    monkeypatch.setattr(qp, "assemble", assemble_spy)
+    monkeypatch.setattr(train_mod._Carried, "component", component_spy)
+    ds = make_train(target_nondiff(), -1.0, 1.0, 0.0, 30)
+    train_sal(ds, TrainConfig(grades=[GradeConfig(width=4), GradeConfig(width=4, solver=DIRECT)]))
+    assert len(problems) == 2
 
 
 def test_select_activation_recovers_generating_member():
