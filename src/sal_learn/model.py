@@ -9,6 +9,7 @@ feed grade k+1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Iterator, Mapping, Sequence
@@ -27,6 +28,10 @@ BLOCK_ROWS = 4096
 MIN_GROUP_ROWS = 512
 
 _BASE_KINDS = ("identity", "relu", "leaky_relu", "tanh", "sincos_half")
+
+# sincos_half(z) = 0.5 sin z + 0.5 cos z = sqrt(1/2) sin(z + pi/4)
+_QUARTER_PI = math.pi / 4
+_SQRT_HALF = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -56,8 +61,8 @@ class Activation:
     def into(self, z: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The activation of z written into out, which is returned.
 
-        z is a float array and out a float array of its shape, not z itself.
-        z may be overwritten: sincos_half computes its cosine in place over z.
+        z is a float array and out a float array of its shape, not z itself;
+        z is left as it is.
         """
         if self.kind == "identity":
             np.copyto(out, z)
@@ -69,12 +74,10 @@ class Activation:
         elif self.kind == "tanh":
             np.tanh(z, out=out)
         elif self.kind == "sincos_half":
-            # 0.5 * sin(z) + 0.5 * cos(z), in out and z alone
-            np.sin(z, out=out)
-            out *= 0.5
-            half_cos = np.cos(z, out=z)
-            half_cos *= 0.5
-            out += half_cos
+            # one sine: sqrt(1/2) * sin(z + pi/4), in out alone
+            np.add(z, _QUARTER_PI, out=out)
+            np.sin(out, out=out)
+            out *= _SQRT_HALF
         else:
             out.fill(0.0)
             for w, act in zip(self.weights, self.basis):
@@ -83,17 +86,20 @@ class Activation:
 
     def value_and_derivative(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The activation of z and its elementwise derivative, from one sine
-        and cosine (or tanh) evaluation; ReLU takes subgradient 0 at the kink."""
+        and cosine (or tanh) evaluation; ReLU takes subgradient 0 at the kink.
+        sincos_half's value has the bits of into's, sqrt(1/2) sin(z + pi/4),
+        and its derivative is sqrt(1/2) cos(z + pi/4)."""
         z = np.asarray(z, dtype=float)
         if self.kind == "tanh":
             t = np.tanh(z)
             return t, 1.0 - t * t
         if self.kind == "sincos_half":
-            half_sin = np.sin(z)
-            half_sin *= 0.5
-            half_cos = np.cos(z)
-            half_cos *= 0.5
-            return half_sin + half_cos, half_cos - half_sin
+            shifted = z + _QUARTER_PI
+            value = np.sin(shifted)
+            value *= _SQRT_HALF
+            deriv = np.cos(shifted, out=shifted)
+            deriv *= _SQRT_HALF
+            return value, deriv
         if self.kind == "combination":
             value, deriv = np.zeros_like(z), np.zeros_like(z)
             for w, act in zip(self.weights, self.basis):
@@ -139,10 +145,13 @@ class Pooling:
     The induced matrix P has rows of mu+1 copies of 1/(mu+1) shifted one
     step per row; it always has full row rank, and mu=0 is the identity.
 
-    apply is x @ P^T and adjoint is y @ P for every out_dim and mu, each one
-    BLAS product over every leading row, with P made once per Pooling.
-    Their bits depend on the BLAS build and on the row count of the product
-    (see Model.run_chain).
+    apply is x @ P^T and adjoint is y @ P for every out_dim and mu >= 1,
+    each one BLAS product over every leading row, with P made once per
+    Pooling.  Their bits depend on the BLAS build and on the row count of
+    the product (see Model.run_chain).  With mu = 0 both return a copy of
+    their input, which keeps inf, NaN and -0.0 where they are (a product
+    with the identity would spread inf * 0.0 = NaN along the row and give
+    +0.0 for -0.0).
 
     With n = mu+1, K = P P^T is the overlap count of two windows over n^2:
     K = overlap / n with overlap(i, j) = max(0, n - |i-j|) / n, exactly 1.0
@@ -206,14 +215,14 @@ class Pooling:
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.in_dim:
             raise ValueError(f"pooling expects last dim {self.in_dim}, got {x.shape[-1]}")
-        return _product(x, self._matrix.T)
+        return x.copy() if self.mu == 0 else _product(x, self._matrix.T)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """Apply the transpose of the induced matrix."""
         y = np.asarray(y, dtype=float)
         if y.shape[-1] != self.out_dim:
             raise ValueError(f"adjoint expects last dim {self.out_dim}, got {y.shape[-1]}")
-        return _product(y, self._matrix)
+        return y.copy() if self.mu == 0 else _product(y, self._matrix)
 
     def lift(self, v: np.ndarray) -> np.ndarray:
         """P^T (P P^T)^-1 v, the minimum-norm u with P u = v, for v of out_dim
@@ -261,25 +270,71 @@ class Grade:
         return self.weight.shape[0]
 
 
+class _AngleSum:
+    """N_1 at the quadrature nodes x_j + o_i of one node set (point-major,
+    node (j, i) at row j*M + i), by angle addition.
+
+    Grade 1 is sincos_half on 1-D input, so N_1 there is
+    sqrt(1/2) sin(z_j + o_i w + pi/4) with z_j = x_j w + b, which is
+    S_j C'_i + C_j S'_i for S_j, C_j = sqrt(1/2) sin, cos(z_j + pi/4) at
+    the n points and S'_i, C'_i = sin, cos(o_i w) at the M offsets: the
+    four tables take 2(n + M) w sines and cosines in place of n M w.  z_j
+    is the affine image run_chain forms at the plain points.
+    """
+
+    def __init__(self, grade: Grade, xs: np.ndarray, offsets: np.ndarray):
+        self.width = grade.width
+        self.per_point = len(offsets)
+        z = np.matmul(xs[:, None], grade.weight.T)
+        z += grade.bias
+        z += _QUARTER_PI
+        self.s = np.sin(z)
+        self.s *= _SQRT_HALF
+        self.c = np.cos(z, out=z)
+        self.c *= _SQRT_HALF
+        shift = np.matmul(offsets[:, None], grade.weight.T)
+        self.s_off = np.sin(shift)
+        self.c_off = np.cos(shift, out=shift)
+
+    def __len__(self) -> int:
+        return len(self.s) * self.per_point
+
+    def fill(self, rows: slice, tmp: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """N_1 at the node rows `rows`, which hold whole points, written into
+        out's leading rows, with tmp's as scratch; returns those rows."""
+        j = slice(rows.start // self.per_point, rows.stop // self.per_point)
+        shape = (j.stop - j.start, self.per_point, self.width)
+        n1, scratch = out[: rows.stop - rows.start], tmp[: rows.stop - rows.start]
+        np.multiply(self.s[j, None], self.c_off[None], out=n1.reshape(shape))
+        np.multiply(self.c[j, None], self.s_off[None], out=scratch.reshape(shape))
+        n1 += scratch
+        return n1
+
+
 @dataclass
 class Carry:
-    """The features N_depth at every row of one point set, kept between chain runs."""
+    """The features N_depth at every row of one point set, kept between chain
+    runs.  feats is an (n, width) array or, at depth 1 on the nodes of one
+    node set, the _AngleSum that forms N_1 there block by block."""
 
     depth: int
-    feats: np.ndarray
+    feats: np.ndarray | _AngleSum
 
 
-def _row_blocks(n: int) -> list[slice]:
-    """Near-equal row blocks of at most BLOCK_ROWS (4096) rows.
+def _row_blocks(n: int, per_point: int = 1) -> list[slice]:
+    """Near-equal row blocks of whole points of per_point rows each, at most
+    BLOCK_ROWS (4096) rows a block, or one point when per_point is larger.
 
     Splitting evenly keeps every block of a longer run at BLOCK_ROWS // 2
-    (2048) rows or more.  That keeps results bit-identical to one
-    full-array pass: OpenBLAS gives a long row block of `a @ w.T` the bits
-    of the full product, but not a short one (at width 100, blocks of 100
-    rows differ in the last place, blocks of 500 rows and more do not).
+    (2048) rows or more, less at most one point.  That keeps results
+    bit-identical to one full-array pass: OpenBLAS gives a long row block
+    of `a @ w.T` the bits of the full product, but not a short one (at
+    width 100, blocks of 100 rows differ in the last place, blocks of 500
+    rows and more do not).
     """
-    count = max(1, -(-n // BLOCK_ROWS))
-    edges = [i * n // count for i in range(count + 1)]
+    points = n // per_point
+    count = max(1, -(-points // max(1, BLOCK_ROWS // per_point)))
+    edges = [i * points // count * per_point for i in range(count + 1)]
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
@@ -357,9 +412,12 @@ class Model:
         each grade it passes is evaluated once.  `carry` holds N_d at the
         points and stands in for them and for the first d grades (points may
         then be None); training carries N_d at its points x and, through the
-        node plan, at a node set's distinct nodes.  With `keep=j` the
-        features N_j come back as a Carry; a carry passed in is then
-        consumed, since its array is overwritten when the widths agree.
+        node plan, at a node set's distinct nodes.  A carry of an _AngleSum
+        stands in for grade 1 at the nodes of a whole node set: its blocks
+        hold whole points, and each forms its N_1 from the four tables in
+        grade 1's work arrays.  With `keep=j` the features N_j come back as
+        a Carry; a carry passed in is then consumed, since its array is
+        overwritten when the widths agree.
         `select` maps some grades in `wanted` to a boolean mask over the
         points: such a grade comes back at the selected rows only, in order.
         It is still pooled over its whole row block, and the selected rows
@@ -382,12 +440,15 @@ class Model:
                 raise ValueError(f"carry has {len(carry.feats)} rows for {len(points)} points")
             points = carry.feats
         start = carry.depth if carry is not None else 0
+        angles = None
+        if isinstance(points, _AngleSum):
+            angles, carry = points, None  # read block by block, never written into
         stop = max([k + 1 for k in wanted] + [keep or 0])
         if any(k < start for k in wanted) or stop > len(self.grades):
             raise IndexError(f"grades {list(wanted)} out of range for depth {start}")
         if keep is not None and keep < start:
             raise IndexError(f"cannot keep depth {keep} below the carried depth {start}")
-        n = points.shape[0]
+        n = len(points)
         select = select or {}
         comps = {
             k: np.empty((np.count_nonzero(select[k]) if k in select else n, self.output_dim))
@@ -397,16 +458,19 @@ class Model:
         kept = None
         if keep == start and carry is not None:
             keep, kept = None, carry
-        blocks = _row_blocks(n)
+        blocks = _row_blocks(n, angles.per_point if angles is not None else 1)
         longest = max(b.stop - b.start for b in blocks)
-        work = {
-            w: (np.empty((longest, w)), np.empty((longest, w)))
-            for w in {g.width for g in self.grades[start:stop]}
-        }
+        widths = {g.width for g in self.grades[start:stop]}
+        if angles is not None:
+            widths.add(angles.width)
+        work = {w: (np.empty((longest, w)), np.empty((longest, w))) for w in widths}
         for rows in blocks:
-            a = points[rows]
-            if carry is None and self.head is not None:
-                a = self.head.hidden(a)
+            if angles is not None:
+                a = angles.fill(rows, *work[angles.width])
+            else:
+                a = points[rows]
+                if carry is None and self.head is not None:
+                    a = self.head.hidden(a)
             if keep == start:
                 kept = _kept(kept, carry, n, a.shape[1], keep)
                 kept.feats[rows] = a
@@ -456,12 +520,30 @@ class Model:
             out.update(self._planned_components(x, smoothed)[0])
         return out
 
+    def _adds_angles(self, node_keys: Sequence | None) -> bool:
+        """Whether grade 1's features at the nodes of a whole node set come by
+        angle addition (_AngleSum): grade 1 is an unsmoothed sincos_half grade
+        on the input itself (no head), and every smoothed grade of the
+        finished model, whose node keys are `node_keys` (None for an
+        unsmoothed grade; default this model's), shares one node key, so no
+        evaluation of that model runs the union plan."""
+        if node_keys is None:
+            node_keys = [None if g.smoother is None else smoothing.node_key(g.smoother) for g in self.grades]
+        first = self.grades[0]
+        return (
+            self.head is None
+            and first.smoother is None
+            and first.activation.kind == "sincos_half"
+            and len({key for key in node_keys if key is not None}) == 1
+        )
+
     def _planned_components(
         self,
         x: np.ndarray,
         ks: Sequence[int],
         carry: Carry | None = None,
         keep: int | None = None,
+        node_keys: Sequence | None = None,
     ) -> tuple[dict[int, np.ndarray], Carry | None]:
         """Smoothed components of grades ks at the rows of x, from one node
         plan across their node sets, and the Carry that `keep` asks for.
@@ -472,7 +554,11 @@ class Model:
         selection, evaluates every grade, and each grade's quadrature then
         weights its own values (smoothing.contract).  `carry` and `keep`
         refer to those nodes (see run_chain); they are passed only for a
-        single node set, by training.
+        single node set, by training, with `node_keys`, the node keys of the
+        finished model's grades.  When no carry is passed, no node repeats
+        (distinct_nodes returns the set whole) and _adds_angles holds, the
+        run starts from grade 1's features by angle addition (_AngleSum),
+        whose tables are freed before the contraction.
 
         Over several node sets the distinct nodes of every set form one
         union, and each union node joins the group of the deepest grade
@@ -500,9 +586,14 @@ class Model:
         for k in ks:
             by_key.setdefault(smoothing.node_key(self.grades[k].smoother), []).append(k)
         if len(by_key) == 1:
-            points, inv = smoothing.distinct_nodes(self.grades[ks[0]].smoother, xs)
-            comps, kept = self.run_chain(points[:, None], ks, carry, keep)
-            del points
+            sm = self.grades[ks[0]].smoother
+            points, inv = smoothing.distinct_nodes(sm, xs)
+            if carry is None and inv is None and self._adds_angles(node_keys):
+                points, carry = None, Carry(1, _AngleSum(self.grades[0], xs, smoothing.quadrature(sm)[0]))
+            else:
+                points = points[:, None]
+            comps, kept = self.run_chain(points, ks, carry, keep)
+            del points, carry
             return {k: contract(k, comps.pop(k), inv) for k in ks}, kept
         sets = [_NodeSet(grades, self.grades[grades[0]].smoother, xs) for grades in by_key.values()]
         keys = np.unique(np.concatenate([s.points.view(np.int64) for s in sets]))

@@ -103,7 +103,9 @@ class _Carried:
     quadrature nodes of the last smoothed grade; it is kept only when the
     next grade smooths over the same nodes (`node_keys` holds the node key
     of each configured grade, None for an unsmoothed one), otherwise every
-    block of nodes streams straight to its pooled component.
+    block of nodes streams straight to its pooled component.  `node_keys`
+    also decides, as for the finished model, whether grade 1's features at
+    a node set come by angle addition (Model._adds_angles).
     """
 
     def __init__(self, model: Model, x: np.ndarray, node_keys: Sequence = ()):
@@ -128,7 +130,8 @@ class _Carried:
         keep = None
         if k + 1 < len(self.node_keys) and self.node_keys[k + 1] == self.node_keys[k]:
             keep = k + 1 if advance else k
-        comps, self.nodes = model._planned_components(self.x, [k], self.nodes, keep)
+        node_keys = self.node_keys or None  # the finished model's, when known
+        comps, self.nodes = model._planned_components(self.x, [k], self.nodes, keep, node_keys)
         if advance:
             self.plain = model.run_chain(None, carry=self.plain, keep=k + 1)[1]
         return comps[k]

@@ -4,7 +4,9 @@ contracted from the values at every quadrature node.
 
 The model evaluates the recursion in row blocks, only at the distinct nodes,
 and carries features from grade to grade; tests require it to match this
-reference bit for bit.
+reference bit for bit.  Where the model forms grade 1's features at the nodes
+by angle addition (Model._adds_angles, at a node set with no repeated node),
+so does the reference, with the same operations over every node at once.
 """
 
 import numpy as np
@@ -19,19 +21,48 @@ def features(model, j, points):
     return a
 
 
+def adds_angles(model):
+    first = model.grades[0]
+    keys = {smoothing.node_key(g.smoother) for g in model.grades if g.smoother is not None}
+    return model.head is None and first.smoother is None and first.activation.kind == "sincos_half" and len(keys) == 1
+
+
+def angle_sum(model, sm, x):
+    """N_1 at the quadrature nodes around the rows of x, point-major:
+    sqrt(1/2) sin, cos(x w + b + pi/4) at the points against sin, cos(o w)
+    at the offsets."""
+    g = model.grades[0]
+    z = x @ g.weight.T + g.bias + np.pi / 4
+    s, c = np.sin(z) * np.sqrt(0.5), np.cos(z) * np.sqrt(0.5)
+    shift = smoothing.quadrature(sm)[0][:, None] @ g.weight.T
+    n1 = s[:, None] * np.cos(shift)[None] + c[:, None] * np.sin(shift)[None]
+    return n1.reshape(-1, g.width)
+
+
+def node_features(model, j, sm, x):
+    """N_j at the quadrature nodes of sm around the rows of x, point-major."""
+    nodes = smoothing.quadrature_nodes(sm, x[:, 0])
+    if j == 0 or not adds_angles(model) or np.unique(nodes.view(np.int64)).size < nodes.size:
+        return features(model, j, nodes[:, None])
+    a = angle_sum(model, sm, x)
+    for g in model.grades[1:j]:
+        a = g.activation(a @ g.weight.T + g.bias)
+    return a
+
+
 def raw_component(model, k, points):
     g = model.grades[k]
     return g.pooling.apply(features(model, k, points) @ g.weight.T + g.bias)
 
 
 def component(model, k, x):
-    sm = model.grades[k].smoother
+    g = model.grades[k]
+    sm = g.smoother
     if sm is None:
         return raw_component(model, k, x)
-    offsets, weights = smoothing.quadrature(sm)
-    n, m = x.shape[0], offsets.size
-    nodes = smoothing.quadrature_nodes(sm, x[:, 0])
-    vals = raw_component(model, k, nodes[:, None]).reshape(n, m, -1)
+    _, weights = smoothing.quadrature(sm)
+    n, m = x.shape[0], weights.size
+    vals = g.pooling.apply(node_features(model, k, sm, x) @ g.weight.T + g.bias).reshape(n, m, -1)
     if not sm.renormalize:
         return np.tensordot(weights, vals.transpose(1, 0, 2), axes=1)
     base = raw_component(model, k, x)

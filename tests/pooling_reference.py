@@ -3,9 +3,10 @@
 The induced matrix P comes from the sliding-window definition applied to
 the identity (row i is the mean of rows i..i+mu of I), and apply and
 adjoint are the products x @ P^T and y @ P over every leading row at once,
-for every width.  The model computes the same products, so tests require
-bit-for-bit equality; test_model.py also checks P's products against the
-window sums themselves to a tolerance.
+for every width with mu >= 1.  With mu = 0, P is the identity, and both
+return their input exactly.  The model computes the same products, so tests
+require bit-for-bit equality; test_model.py also checks P's products
+against the window sums themselves to a tolerance.
 """
 
 import numpy as np
@@ -22,8 +23,10 @@ def _rows(a, mat):
 
 
 def apply(pool, x):
-    return _rows(np.asarray(x, dtype=float), matrix(pool).T)
+    x = np.array(x, dtype=float)
+    return x if pool.mu == 0 else _rows(x, matrix(pool).T)
 
 
 def adjoint(pool, y):
-    return _rows(np.asarray(y, dtype=float), matrix(pool))
+    y = np.array(y, dtype=float)
+    return y if pool.mu == 0 else _rows(y, matrix(pool))

@@ -12,6 +12,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 import chain_reference as ref
 import pooling_reference as pool_ref
 from sal_learn import mlp, smoothing
+from sal_learn import model as model_mod
 from sal_learn.rng import SplitMix64
 from sal_learn.model import (
     BLOCK_ROWS,
@@ -27,6 +28,7 @@ from sal_learn.model import (
     Pooling,
     combination,
     inner_product,
+    _AngleSum,
     _row_blocks,
     leaky_relu,
     norm,
@@ -45,6 +47,19 @@ def test_pool_mu0_identity():
     p = Pooling(out_dim=4, mu=0)
     x = np.arange(4.0)
     assert np.array_equal(p.apply(x), x)
+
+
+def test_pool_mu0_returns_its_input_exactly():
+    # a product with the identity would give [inf, nan] for [inf, 1.0] and
+    # +0.0 for -0.0; both methods return a copy, every bit kept
+    pool = Pooling(out_dim=3, mu=0)
+    a = np.array([[np.inf, 1.0, -0.0], [np.nan, -np.inf, 2.0], [-np.nan, -0.0, 5e-324]])
+    for method in (pool.apply, pool.adjoint):
+        for arg in (a, a[0], np.asfortranarray(a)):
+            got = method(arg)
+            assert not np.shares_memory(got, arg)
+            assert np.array_equal(got.view(np.int64), np.ascontiguousarray(arg).view(np.int64))
+    assert Pooling(2, 0).apply([np.inf, 1.0]).tolist() == [np.inf, 1.0]
 
 
 def test_pool_adjoint_hand_example():
@@ -343,8 +358,8 @@ def test_value_and_derivative_have_the_bits_of_each_call(act):
     value, deriv = act.value_and_derivative(z)
     assert value.tobytes() == act(z).tobytes()
     assert deriv.tobytes() == act.derivative(z).tobytes()
-    # sincos_half is evaluated in place, with the bits of the five-array form
-    assert SINCOS_HALF(z).tobytes() == (0.5 * np.sin(z) + 0.5 * np.cos(z)).tobytes()
+    # sincos_half is one shifted sine, with the bits of the three-operation form
+    assert SINCOS_HALF(z).tobytes() == (np.sin(z + np.pi / 4) * np.sqrt(0.5)).tobytes()
 
 
 def _edge_inputs() -> np.ndarray:
@@ -370,8 +385,7 @@ def test_activation_into_has_the_bits_of_the_call(act):
         got = act.into(arg, out)
     assert got is out and not np.shares_memory(got, arg)
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
-    if act.kind != "sincos_half":  # the one form documented to overwrite z
-        assert np.array_equal(arg.view(np.int64), z.view(np.int64))
+    assert np.array_equal(arg.view(np.int64), z.view(np.int64))
 
 
 # each base kind written out in plain NumPy: (value, derivative)
@@ -381,8 +395,8 @@ _PLAIN = {
     "leaky_relu": (lambda z: np.where(z >= 0, z, 0.1 * z), lambda z: np.where(z > 0, 1.0, 0.1)),
     "tanh": (np.tanh, lambda z: 1 - np.tanh(z) * np.tanh(z)),
     "sincos_half": (
-        lambda z: 0.5 * np.sin(z) + 0.5 * np.cos(z),
-        lambda z: 0.5 * np.cos(z) - 0.5 * np.sin(z),
+        lambda z: np.sin(z + np.pi / 4) * np.sqrt(0.5),
+        lambda z: np.cos(z + np.pi / 4) * np.sqrt(0.5),
     ),
 }
 
@@ -585,6 +599,112 @@ def test_distinct_node_evaluation_matches_reference(t, sm, x, distinct):
     comp = ref.component(model, 1, x)
     assert np.array_equal(model.component_values(1, x), comp)
     assert np.array_equal(model.predict(x), ref.component(model, 0, x) + comp)
+
+
+class _CountingAngleSum(_AngleSum):
+    """_AngleSum, counting the node sets it is made for and the row blocks
+    it fills."""
+
+    made: list = []
+    filled: list = []
+
+    def __init__(self, grade, xs, offsets):
+        super().__init__(grade, xs, offsets)
+        self.made.append((len(xs), len(offsets)))
+
+    def fill(self, rows, tmp, out):
+        self.filled.append((rows.start, rows.stop, self.per_point))
+        return super().fill(rows, tmp, out)
+
+
+@pytest.fixture
+def angle_sums(monkeypatch):
+    """The node sets whose grade-1 features come by angle addition, and
+    their filled blocks, recorded for the test's duration."""
+    monkeypatch.setattr(_CountingAngleSum, "made", [])
+    monkeypatch.setattr(_CountingAngleSum, "filled", [])
+    monkeypatch.setattr(model_mod, "_AngleSum", _CountingAngleSum)
+    return _CountingAngleSum
+
+
+@pytest.mark.parametrize("t", [1, 20])
+def test_angle_sum_is_grade_one_at_the_nodes(t, angle_sums):
+    # random points: every node is distinct, so N_1 at the nodes comes by
+    # angle addition; kept at depth 1, it is the shifted-sine chain at the
+    # nodes to rounding, and the reference's angle sum in every bit
+    sm = _tau_multiples(0.005)
+    model = _smoothed_pair(t, sm)
+    x = np.random.default_rng(8).uniform(0, 1, (150, 1))
+    nodes = smoothing.quadrature_nodes(sm, x[:, 0])
+    assert np.unique(nodes.view(np.int64)).size == nodes.size
+    comps, kept = model._planned_components(x, [1], keep=1)
+    assert angle_sums.made == [(150, 200)]
+    chain = model.run_chain(nodes[:, None], keep=1)[1].feats
+    assert kept.depth == 1 and kept.feats.shape == chain.shape
+    assert np.max(np.abs(kept.feats - chain)) <= 1e-13 * np.max(np.abs(chain))
+    assert np.array_equal(kept.feats, ref.angle_sum(model, sm, x))
+    assert np.array_equal(comps[1], ref.component(model, 1, x))
+
+
+def _node_plan_takes_angle_sum(model, x, angle_sums):
+    """Whether predict and each component_values at x form grade 1's node
+    features by angle addition (never for some, always for others), with
+    the reference's values in every case."""
+    del angle_sums.made[:]
+    _assert_stages_match_reference(model, x)
+    taken = len(angle_sums.made)
+    smoothed = [k for k, g in enumerate(model.grades) if g.smoother is not None]
+    for k in smoothed:
+        assert np.array_equal(model.component_values(k, x), ref.component(model, k, x))
+    assert len(angle_sums.made) - taken == (len(smoothed) if taken else 0)
+    return bool(taken)
+
+
+def test_node_plan_takes_angle_sum_only_at_whole_single_key_sets(angle_sums):
+    # one node key, sincos_half grade 1 on the input and no repeated node:
+    # every other model, and every set that repeats nodes, runs the chain
+    # from the nodes themselves
+    random_points = np.random.default_rng(8).uniform(0, 1, (150, 1))
+    one_key = [_tau_multiples(0.005), None, _tau_multiples(0.005)]
+    assert _node_plan_takes_angle_sum(_planned_model(2, one_key), random_points, angle_sums)
+    # a commensurate grid repeats nodes
+    assert not _node_plan_takes_angle_sum(_planned_model(2, one_key), GRID_201, angle_sums)
+    # two node keys, the first two smoothed grades sharing one
+    two_keys = one_key + [_tau_multiples(0.004)]
+    assert not _node_plan_takes_angle_sum(_planned_model(2, two_keys), random_points, angle_sums)
+    head = mlp.he_init(1, [5, 6], 2, [TANH, RELU], SplitMix64(4))
+    assert not _node_plan_takes_angle_sum(_planned_model(2, one_key, head), random_points, angle_sums)
+    not_sincos = _planned_model(2, one_key)
+    not_sincos.grades[0].activation = TANH
+    assert not _node_plan_takes_angle_sum(not_sincos, random_points, angle_sums)
+    assert angle_sums.filled
+
+
+@pytest.mark.parametrize("quad_points", [201, BLOCK_ROWS, BLOCK_ROWS + 1])
+def test_angle_sum_blocks_hold_whole_points(quad_points, angle_sums):
+    # M below, at and above BLOCK_ROWS: each block holds whole points, at
+    # most BLOCK_ROWS rows of them, or one point when M is larger
+    sm = smoothing.Smoother(0.01, smoothing.GridSteps(20, 1e-3), quad_points)
+    model = _smoothed_pair(2, sm)
+    x = np.random.default_rng(quad_points).uniform(0, 1, (3 if quad_points >= BLOCK_ROWS else 50, 1))
+    assert _node_plan_takes_angle_sum(model, x, angle_sums)
+    blocks = [(b.start, b.stop, quad_points) for b in _row_blocks(len(x) * quad_points, quad_points)]
+    assert angle_sums.filled == blocks * len(angle_sums.made)
+    for start, stop, _ in blocks:
+        assert start % quad_points == 0 and stop % quad_points == 0
+        assert 0 < stop - start <= max(BLOCK_ROWS, quad_points)
+
+
+@pytest.mark.parametrize("per_point", [1, 201, BLOCK_ROWS // 2 + 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+@pytest.mark.parametrize("points", [1, 3, 41, 1001])
+def test_row_blocks_hold_whole_points(per_point, points):
+    n = points * per_point
+    blocks = _row_blocks(n, per_point)
+    assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]] and blocks[-1].stop == n
+    per_block = max(1, BLOCK_ROWS // per_point)  # points
+    for b in blocks:
+        assert b.start % per_point == 0 and 0 < b.stop - b.start <= per_block * per_point
+    assert len(blocks) == -(-points // per_block)
 
 
 @pytest.mark.parametrize("n", [BLOCK_ROWS + 1, 2 * BLOCK_ROWS - 1, 2 * BLOCK_ROWS + 1, 7 * BLOCK_ROWS + 3, 100_000])

@@ -6,10 +6,11 @@ import pytest
 import chain_reference as ref
 import pooling_reference as pool_ref
 from sal_learn import mlp, qp, smoothing
+from sal_learn import model as model_mod
 from sal_learn import train as train_mod
 from sal_learn.data import Dataset, make_test, make_train, target_nondiff, target_oscillatory
 from sal_learn.model import BLOCK_ROWS, IDENTITY, RELU, SINCOS_HALF, TANH, Activation, Model, Pooling, sq_norm
-from sal_learn.reporting import model_to_dict
+from sal_learn.reporting import model_from_dict, model_to_dict
 from sal_learn.train import (
     GradeConfig,
     TrainConfig,
@@ -503,6 +504,80 @@ def test_carry_at_distinct_nodes_matches_reference_chain():
         assert rec.rse_train == sq_norm(residual) / sq_norm(ds.targets)
         test_pred = test_pred + ref.component(model, k, test.inputs)
         assert rec.rse_test == rse(test_pred, test.targets)
+
+
+def _angle_sums_made(monkeypatch):
+    """The (points, offsets) of every node set whose grade-1 features come
+    by angle addition, recorded for the test's duration."""
+    made = []
+
+    class Counting(model_mod._AngleSum):
+        def __init__(self, grade, xs, offsets):
+            super().__init__(grade, xs, offsets)
+            made.append((len(xs), len(offsets)))
+
+    monkeypatch.setattr(model_mod, "_AngleSum", Counting)
+    return made
+
+
+def _check_against_reference(model, report, ds, test):
+    """Each grade's component at the training points, each record's rse and
+    the trained and reloaded predictions at the test points, all in the
+    reference's bits."""
+    residual, test_pred = ds.targets, np.zeros_like(test.targets)
+    for k, rec in enumerate(report.records):
+        comp = ref.component(model, k, ds.inputs)
+        assert np.array_equal(model.component_values(k, ds.inputs), comp)
+        residual = residual - comp
+        assert rec.rse_train == sq_norm(residual) / sq_norm(ds.targets)
+        test_pred = test_pred + ref.component(model, k, test.inputs)
+        assert rec.rse_test == rse(test_pred, test.targets)
+    assert np.array_equal(model.predict(test.inputs), test_pred)
+    assert np.array_equal(model_from_dict(model_to_dict(model)).predict(test.inputs), test_pred)
+
+
+def test_training_takes_angle_sum_when_the_finished_model_has_one_node_key(monkeypatch):
+    # jittered training points and random test points: no node set repeats
+    # a node.  One node key, a plain grade between the smoothed ones: the
+    # combination grade's run keeps N_1 at the nodes for the next grade,
+    # the grade after the plain one starts again from the angle sum, and
+    # test scoring and predict each take it once
+    ds = make_train(target_nondiff(), -1.0, 1.0, 0.1, 61)
+    test = make_test(target_nondiff(), -1.0, 1.0, 37, seed=6)
+    shared = smoothing.GridSteps(10, 2e-3)
+    grades = [
+        GradeConfig(width=6, activation=SINCOS_HALF, solver=DIRECT),
+        GradeConfig(width=6, activation=[RELU, TANH], tau=0.01, window=shared, quad_points=21, solver=DIRECT),
+        GradeConfig(width=8, activation=RELU, tau=0.005, window=shared, quad_points=21, solver=DIRECT),
+        GradeConfig(width=6, activation=TANH, solver=DIRECT),
+        GradeConfig(width=6, activation=RELU, tau=0.004, window=shared, quad_points=21, solver=DIRECT),
+    ]
+    sm = smoothing.Smoother(0.01, shared, 21)
+    for x in (ds.inputs, test.inputs):
+        nodes = smoothing.quadrature_nodes(sm, x[:, 0])
+        assert np.unique(nodes.view(np.int64)).size == nodes.size
+    made = _angle_sums_made(monkeypatch)
+    model, report = train_sal(ds, TrainConfig(grades), test=test)
+    assert made == [(61, 21), (61, 21), (37, 21)]
+    _check_against_reference(model, report, ds, test)
+    assert made[3:] == [(61, 21)] * 3 + [(37, 21)] * 2
+
+
+@pytest.mark.parametrize("shared_first", [False, True])
+def test_training_never_takes_angle_sum_with_two_node_keys(shared_first, monkeypatch):
+    # two node keys, with or without the first two smoothed grades sharing
+    # one: the finished model predicts through the union plan, so no run
+    # of training, test scoring or predict forms N_1 by angle addition,
+    # although no node set repeats a node
+    ds = make_train(target_nondiff(), -1.0, 1.0, 0.1, 61)
+    test = make_test(target_nondiff(), -1.0, 1.0, 37, seed=6)
+    grades = _two_node_set_grades()
+    if not shared_first:
+        del grades[2]
+    made = _angle_sums_made(monkeypatch)
+    model, report = train_sal(ds, TrainConfig(grades), test=test)
+    _check_against_reference(model, report, ds, test)
+    assert made == []
 
 
 def test_train_sal_bits_match_reference_pooling(monkeypatch):
