@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -22,10 +22,6 @@ from . import smoothing
 # the size of each of the two work arrays per width that Model.run_chain
 # reuses for every block.
 BLOCK_ROWS = 4096
-
-# Fewest rows a node plan runs the chain over in one group (see
-# Model._planned_components): a smaller group joins the next deeper one.
-MIN_GROUP_ROWS = 512
 
 _BASE_KINDS = ("identity", "relu", "leaky_relu", "tanh", "sincos_half")
 
@@ -348,40 +344,6 @@ def _kept(kept: Carry | None, carry: Carry | None, n: int, width: int, depth: in
     return Carry(depth, np.empty((n, width)))
 
 
-class _NodeSet:
-    """One node set of a node plan: its grades, its distinct nodes and
-    their index (smoothing.distinct_nodes), and its grades' values at the
-    nodes computed so far, one chunk per group run: (positions among the
-    points, {grade: values at those points})."""
-
-    def __init__(self, grades: list[int], sm: smoothing.Smoother, xs: np.ndarray):
-        self.grades = grades
-        self.points, self.inv = smoothing.distinct_nodes(sm, xs)
-        self.chunks: list[tuple[np.ndarray, dict[int, np.ndarray]]] = []
-
-    def place(self, where: np.ndarray, group: np.ndarray) -> None:
-        """Point i is union row where[i], which runs in group group[where[i]]."""
-        self.where = where
-        self.order = np.argsort(where, kind="stable")  # the points in union order
-        self.group = group[where[self.order]]
-        self.last = self.group.min()  # groups run deepest first
-
-    def collect(self, d: int, comps: dict[int, np.ndarray]) -> None:
-        """Keep the set's grades' values from group d's run, whose rows
-        hold the set's points of that group in union order."""
-        self.chunks.append((self.order[self.group == d], {k: comps.pop(k) for k in self.grades}))
-
-    def values(self, k: int) -> np.ndarray:
-        """Grade k's values at every point, taken out of the chunks."""
-        pos, first = self.chunks[0]
-        if len(self.chunks) == 1 and np.array_equal(pos, np.arange(len(self.points))):
-            return first.pop(k)
-        vals = np.empty((len(self.points), first[k].shape[1]))
-        for pos, chunk in self.chunks:
-            vals[pos] = chunk.pop(k)
-        return vals
-
-
 @dataclass
 class Model:
     """Superposition model: optional hybrid head plus an ordered list of grades."""
@@ -403,7 +365,6 @@ class Model:
         wanted: Sequence[int] = (),
         carry: Carry | None = None,
         keep: int | None = None,
-        select: Mapping[int, np.ndarray] | None = None,
     ) -> tuple[dict[int, np.ndarray], Carry | None]:
         """Raw pooled components of the grades in `wanted` at the rows of points.
 
@@ -411,19 +372,13 @@ class Model:
         BLOCK_ROWS rows, so only one block's features are alive at a time, and
         each grade it passes is evaluated once.  `carry` holds N_d at the
         points and stands in for them and for the first d grades (points may
-        then be None); training carries N_d at its points x and, through the
-        node plan, at a node set's distinct nodes.  A carry of an _AngleSum
-        stands in for grade 1 at the nodes of a whole node set: its blocks
-        hold whole points, and each forms its N_1 from the four tables in
-        grade 1's work arrays.  With `keep=j` the features N_j come back as
-        a Carry; a carry passed in is then consumed, since its array is
-        overwritten when the widths agree.
-        `select` maps some grades in `wanted` to a boolean mask over the
-        points: such a grade comes back at the selected rows only, in order.
-        It is still pooled over its whole row block, and the selected rows
-        are taken from that, because the bits of the pooling product depend
-        on its row count, at every pooling width: pooling only the selected
-        rows could give them other bits than a run without `select`.
+        then be None); training carries N_d at its points x and, through
+        _planned_components, at a node set's distinct nodes.  A carry of an
+        _AngleSum stands in for grade 1 at the nodes of a whole node set:
+        its blocks hold whole points, and each forms its N_1 from the four
+        tables in grade 1's work arrays.  With `keep=j` the features N_j
+        come back as a Carry; a carry passed in is then consumed, since its
+        array is overwritten when the widths agree.
 
         The call makes two work arrays per grade width, as long as the
         longest block, and every block and grade reuses them: the affine
@@ -449,12 +404,7 @@ class Model:
         if keep is not None and keep < start:
             raise IndexError(f"cannot keep depth {keep} below the carried depth {start}")
         n = len(points)
-        select = select or {}
-        comps = {
-            k: np.empty((np.count_nonzero(select[k]) if k in select else n, self.output_dim))
-            for k in wanted
-        }
-        filled = dict.fromkeys(select, 0)
+        comps = {k: np.empty((n, self.output_dim)) for k in wanted}
         kept = None
         if keep == start and carry is not None:
             keep, kept = None, carry
@@ -479,14 +429,7 @@ class Model:
                 pre_buf, act_buf = work[g.width]
                 pre = np.matmul(a, g.weight.T, out=pre_buf[: len(a)])
                 pre += g.bias
-                if j in filled:
-                    sel = select[j][rows]
-                    lo = filled[j]
-                    filled[j] += np.count_nonzero(sel)
-                    if filled[j] > lo:
-                        pooled = g.pooling.apply(pre)
-                        np.compress(sel, pooled, axis=0, out=comps[j][lo : filled[j]])
-                elif j in comps:
+                if j in comps:
                     comps[j][rows] = g.pooling.apply(pre)
                 if j + 1 == keep:
                     kept = _kept(kept, carry, n, g.width, keep)
@@ -510,7 +453,7 @@ class Model:
 
     def _components(self, x: np.ndarray, ks: Sequence[int]) -> dict[int, np.ndarray]:
         """Components of grades ks at the rows of x: one chain run at x for
-        the unsmoothed grades, and one node plan for the smoothed ones."""
+        the unsmoothed grades, and one per node set for the smoothed ones."""
         if len(x) == 0:
             return {k: np.zeros((0, self.output_dim)) for k in ks}
         plain = [k for k in ks if self.grades[k].smoother is None]
@@ -520,22 +463,14 @@ class Model:
             out.update(self._planned_components(x, smoothed)[0])
         return out
 
-    def _adds_angles(self, node_keys: Sequence | None) -> bool:
-        """Whether grade 1's features at the nodes of a whole node set come by
-        angle addition (_AngleSum): grade 1 is an unsmoothed sincos_half grade
-        on the input itself (no head), and every smoothed grade of the
-        finished model, whose node keys are `node_keys` (None for an
-        unsmoothed grade; default this model's), shares one node key, so no
-        evaluation of that model runs the union plan."""
-        if node_keys is None:
-            node_keys = [None if g.smoother is None else smoothing.node_key(g.smoother) for g in self.grades]
+    def _adds_angles(self) -> bool:
+        """Whether grade 1's features at the nodes of a whole node set may
+        come by angle addition (_AngleSum): grade 1 is an unsmoothed
+        sincos_half grade on the input itself (no head).  The node set must
+        also repeat no node, and the run start from the nodes themselves
+        (see _planned_components)."""
         first = self.grades[0]
-        return (
-            self.head is None
-            and first.smoother is None
-            and first.activation.kind == "sincos_half"
-            and len({key for key in node_keys if key is not None}) == 1
-        )
+        return self.head is None and first.smoother is None and first.activation.kind == "sincos_half"
 
     def _planned_components(
         self,
@@ -543,92 +478,51 @@ class Model:
         ks: Sequence[int],
         carry: Carry | None = None,
         keep: int | None = None,
-        node_keys: Sequence | None = None,
     ) -> tuple[dict[int, np.ndarray], Carry | None]:
-        """Smoothed components of grades ks at the rows of x, from one node
-        plan across their node sets, and the Carry that `keep` asks for.
+        """Smoothed components of grades ks at the rows of x, from one chain
+        run per node set, and the Carry that `keep` asks for.
 
         Training, test scoring and eval all evaluate smoothed grades here.
-        When ks share one node set, one chain run over its distinct nodes
-        (smoothing.distinct_nodes), in their own order and with no row
-        selection, evaluates every grade, and each grade's quadrature then
-        weights its own values (smoothing.contract).  `carry` and `keep`
-        refer to those nodes (see run_chain); they are passed only for a
-        single node set, by training, with `node_keys`, the node keys of the
-        finished model's grades.  When no carry is passed, no node repeats
-        (distinct_nodes returns the set whole) and _adds_angles holds, the
-        run starts from grade 1's features by angle addition (_AngleSum),
-        whose tables are freed before the contraction.
+        The grades of one node set (smoothing.node_key) take one chain run
+        over its distinct nodes (smoothing.distinct_nodes), in their own
+        order, and each grade's quadrature then weights its own values
+        (smoothing.contract); the sets run in the order of their first
+        grade in ks, and each set's node values are dropped once contracted.
+        When no carry is passed, no node of the set repeats (distinct_nodes
+        returns it whole) and _adds_angles holds, the run starts from grade
+        1's features by angle addition (_AngleSum), whose tables are freed
+        before the contraction.  So training and prediction decide alike at
+        the same points.
 
-        Over several node sets the distinct nodes of every set form one
-        union, and each union node joins the group of the deepest grade
-        whose node set holds it.  A group of fewer than MIN_GROUP_ROWS rows
-        joins the next deeper group instead, since OpenBLAS may give a short
-        product other bits than a long one.  One chain run per group,
-        deepest group first, evaluates its nodes once and pools every grade
-        at the nodes of that grade's set.  A grade is contracted right after
-        the last group holding its nodes has run, and its node values are
-        dropped; until then only the rows computed so far are kept.
-
-        The renormalized form's values at x come from a chain run of their
-        own.
+        `carry` and `keep` refer to the nodes of one node set (see
+        run_chain); training passes them, one grade at a time.  They raise
+        ValueError when ks span several node sets.  The renormalized form's
+        values at x come from a chain run of their own.
         """
         if self.input_dim != 1:
             raise ValueError("smoothing supports 1-D input only")
         xs = x[:, 0]
-
-        def contract(k: int, vals: np.ndarray, inv: np.ndarray | None) -> np.ndarray:
-            sm = self.grades[k].smoother
-            base = self.run_chain(x, [k])[0][k] if sm.renormalize else None
-            return smoothing.contract(sm, xs, vals, inv, base)
-
         by_key: dict[Any, list[int]] = {}
         for k in ks:
             by_key.setdefault(smoothing.node_key(self.grades[k].smoother), []).append(k)
-        if len(by_key) == 1:
-            sm = self.grades[ks[0]].smoother
+        if len(by_key) > 1 and (carry is not None or keep is not None):
+            raise ValueError("carry and keep need the grades of one node set")
+        out: dict[int, np.ndarray] = {}
+        kept = None
+        for grades in by_key.values():
+            sm = self.grades[grades[0]].smoother
             points, inv = smoothing.distinct_nodes(sm, xs)
-            if carry is None and inv is None and self._adds_angles(node_keys):
+            if carry is None and inv is None and self._adds_angles():
                 points, carry = None, Carry(1, _AngleSum(self.grades[0], xs, smoothing.quadrature(sm)[0]))
             else:
                 points = points[:, None]
-            comps, kept = self.run_chain(points, ks, carry, keep)
-            del points, carry
-            return {k: contract(k, comps.pop(k), inv) for k in ks}, kept
-        sets = [_NodeSet(grades, self.grades[grades[0]].smoother, xs) for grades in by_key.values()]
-        keys = np.unique(np.concatenate([s.points.view(np.int64) for s in sets]))
-        union = keys.view(float)
-        wheres = [np.searchsorted(keys, s.points.view(np.int64)) for s in sets]
-        group = np.zeros(len(union), dtype=np.intp)
-        for s, where in zip(sets, wheres):
-            group[where] = np.maximum(group[where], s.grades[-1])
-        levels = np.unique(group)
-        for lo, hi in zip(levels, levels[1:]):
-            rows = group == lo
-            if np.count_nonzero(rows) < MIN_GROUP_ROWS:
-                group[rows] = hi
-        for s, where in zip(sets, wheres):
-            s.place(where, group)
-        levels = np.unique(group)[::-1]
-        out: dict[int, np.ndarray] = {}
-        for d in levels:
-            rows = slice(None) if len(levels) == 1 else np.flatnonzero(group == d)
-            present = [s for s in sets if d in s.group]
-            wanted, select = [], {}
-            for s in present:
-                wanted += s.grades
-                mask = np.zeros(len(union), dtype=bool)
-                mask[s.where] = True
-                if not mask[rows].all():
-                    select.update(dict.fromkeys(s.grades, mask[rows]))
-            comps = self.run_chain(union[rows][:, None], wanted, select=select)[0]
-            for s in present:
-                s.collect(d, comps)
-                if s.last == d:
-                    for k in s.grades:
-                        out[k] = contract(k, s.values(k), s.inv)
-                    s.chunks.clear()
-        return out, None
+            comps, kept = self.run_chain(points, grades, carry, keep)
+            points = carry = None
+            for k in grades:
+                sm = self.grades[k].smoother
+                base = self.run_chain(x, [k])[0][k] if sm.renormalize else None
+                out[k] = smoothing.contract(sm, xs, comps.pop(k), inv, base)
+        return out, kept
 
     def component_values(self, k: int, x: np.ndarray) -> np.ndarray:
         """Grade k's component at the rows of x — smoothed when the grade says so."""
@@ -640,8 +534,7 @@ class Model:
 
         Every grade's component is evaluated up front, with no features
         kept: the unsmoothed grades by one chain run at x, the smoothed ones
-        by one node plan across their node sets, which evaluates each
-        distinct node once, to the deepest grade that needs it (see
+        by one chain run per node set over its distinct nodes (see
         _planned_components).  The sums are then formed one grade at a
         time, so only the latest needs to stay alive.
         """

@@ -22,6 +22,11 @@ class GradeRecord:
     note: str = ""  # a direct solve's cut ("rank r of p+1"), a singular activation gram
     objective: float | None = None  # SolveStats.final_objective
     lipschitz: float | None = None  # SolveStats.lipschitz (Nesterov grades only)
+    # (||e_{k-1}||^2 - ||e_k||^2 - ||f_k||^2) / ||e_{k-1}||^2 for residuals e
+    # and component f: 0 for an exact projection (the Pythagorean identity);
+    # None when e_{k-1} is zero, and for a hybrid head
+    pythagoras_defect: float | None = None
+    energy_share: float | None = None  # ||f_k||^2 / ||y||^2, a term of the Parseval sum
 
 
 @dataclass

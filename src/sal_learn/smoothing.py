@@ -162,9 +162,8 @@ def smooth_at(f: Callable[[np.ndarray], np.ndarray], sm: Smoother, x: float) -> 
 
 
 def distinct_nodes(sm: Smoother, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """The points smooth_fn_grid evaluates f at, and the node plan
-    (Model._planned_components) runs a model's chain at, and where each
-    node's value sits among them.
+    """The points smooth_fn_grid evaluates f at, and Model._planned_components
+    runs a model's chain at, and where each node's value sits among them.
 
     The points are the distinct nodes around xs, keyed by bit pattern (so
     -0.0 and +0.0 stay apart), in ascending key order, with each node's

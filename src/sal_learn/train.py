@@ -103,9 +103,9 @@ class _Carried:
     quadrature nodes of the last smoothed grade; it is kept only when the
     next grade smooths over the same nodes (`node_keys` holds the node key
     of each configured grade, None for an unsmoothed one), otherwise every
-    block of nodes streams straight to its pooled component.  `node_keys`
-    also decides, as for the finished model, whether grade 1's features at
-    a node set come by angle addition (Model._adds_angles).
+    block of nodes streams straight to its pooled component.  Whether grade
+    1's features at a node set come by angle addition is decided by
+    Model._planned_components, by the rule it applies in prediction.
     """
 
     def __init__(self, model: Model, x: np.ndarray, node_keys: Sequence = ()):
@@ -115,7 +115,7 @@ class _Carried:
         self.nodes = None
 
     def component(self, model: Model, k: int, advance: bool) -> np.ndarray:
-        """Grade k's component at x, from the node plan `model.predict` runs.
+        """Grade k's component at x, from the chain run `model.predict` makes.
 
         With `advance` the carried features move on to N_{k+1} in the same
         pass.  Without it (the grade's activation is not final yet) they stay
@@ -130,8 +130,7 @@ class _Carried:
         keep = None
         if k + 1 < len(self.node_keys) and self.node_keys[k + 1] == self.node_keys[k]:
             keep = k + 1 if advance else k
-        node_keys = self.node_keys or None  # the finished model's, when known
-        comps, self.nodes = model._planned_components(self.x, [k], self.nodes, keep, node_keys)
+        comps, self.nodes = model._planned_components(self.x, [k], self.nodes, keep)
         if advance:
             self.plain = model.run_chain(None, carry=self.plain, keep=k + 1)[1]
         return comps[k]
@@ -199,18 +198,22 @@ def train_grade(
             stats.note = (stats.note + "; " if stats.note else "") + (
                 "singular activation gram; minimum-norm combination"
             )
+    before, after, energy = sq_norm(residual), sq_norm(new_residual), sq_norm(component)
+    total = sq_norm(dataset.targets)
     record = GradeRecord(
         grade=k + 1,
         tau=cfg.tau,
         epsilon=cfg.solver.epsilon,
         iterations=stats.iterations,
         train_time_s=time.perf_counter() - start,
-        rse_train=sq_norm(new_residual) / sq_norm(dataset.targets),
+        rse_train=after / total,
         rse_test=None,
         stop_reason=stats.stop_reason,
         note=stats.note,
         objective=stats.final_objective,
         lipschitz=stats.lipschitz,
+        pythagoras_defect=(before - after - energy) / before if before > 0.0 else None,
+        energy_share=energy / total,
     )
     return grade, new_residual, record
 

@@ -5,8 +5,9 @@ contracted from the values at every quadrature node.
 The model evaluates the recursion in row blocks, only at the distinct nodes,
 and carries features from grade to grade; tests require it to match this
 reference bit for bit.  Where the model forms grade 1's features at the nodes
-by angle addition (Model._adds_angles, at a node set with no repeated node),
-so does the reference, with the same operations over every node at once.
+of a set by angle addition (Model._adds_angles, at a node set with no
+repeated node), so does the reference, set by set, with the same operations
+over every node of the set at once.
 """
 
 import numpy as np
@@ -23,8 +24,7 @@ def features(model, j, points):
 
 def adds_angles(model):
     first = model.grades[0]
-    keys = {smoothing.node_key(g.smoother) for g in model.grades if g.smoother is not None}
-    return model.head is None and first.smoother is None and first.activation.kind == "sincos_half" and len(keys) == 1
+    return model.head is None and first.smoother is None and first.activation.kind == "sincos_half"
 
 
 def angle_sum(model, sm, x):

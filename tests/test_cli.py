@@ -510,9 +510,14 @@ def test_run_log_names_each_grade_solver_outcome(tmp_path):
     assert re.search(f" stop=max_iters objective={number} lipschitz={number}$", grade_lines[0])
     assert " stop=direct" in grade_lines[1]
     assert "objective=" not in grade_lines[1] and "lipschitz=" not in grade_lines[1]
+    for line in grade_lines:
+        assert re.search(r" rse_train=\S+ pythagoras_defect=\S+ energy_share=\d\.\d{5}e[+-]\d\d stop=", line)
+    # the direct grade is an exact projection
+    assert abs(float(re.search(r"pythagoras_defect=(\S+)", grade_lines[1]).group(1))) < 1e-12
     header = read_csv_rows(out / "sal_report.csv")[0]
     assert "stop_reason" not in header and "note" not in header
     assert "objective" not in header and "lipschitz" not in header
+    assert "pythagoras_defect" not in header and "energy_share" not in header
 
 
 def masked_report(path):

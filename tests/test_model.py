@@ -16,7 +16,6 @@ from sal_learn import model as model_mod
 from sal_learn.rng import SplitMix64
 from sal_learn.model import (
     BLOCK_ROWS,
-    MIN_GROUP_ROWS,
     Carry,
     IDENTITY,
     RELU,
@@ -647,9 +646,10 @@ def test_angle_sum_is_grade_one_at_the_nodes(t, angle_sums):
 
 
 def _node_plan_takes_angle_sum(model, x, angle_sums):
-    """Whether predict and each component_values at x form grade 1's node
-    features by angle addition (never for some, always for others), with
-    the reference's values in every case."""
+    """How many times staged_predict and predict at x together form grade
+    1's node features by angle addition (each once per node set that takes
+    it); each component_values at x takes one too when any set does, and
+    every value is the reference's."""
     del angle_sums.made[:]
     _assert_stages_match_reference(model, x)
     taken = len(angle_sums.made)
@@ -657,26 +657,28 @@ def _node_plan_takes_angle_sum(model, x, angle_sums):
     for k in smoothed:
         assert np.array_equal(model.component_values(k, x), ref.component(model, k, x))
     assert len(angle_sums.made) - taken == (len(smoothed) if taken else 0)
-    return bool(taken)
+    return taken
 
 
-def test_node_plan_takes_angle_sum_only_at_whole_single_key_sets(angle_sums):
-    # one node key, sincos_half grade 1 on the input and no repeated node:
-    # every other model, and every set that repeats nodes, runs the chain
+def test_node_plan_takes_angle_sum_at_each_whole_node_set(angle_sums):
+    # sincos_half grade 1 on the input and no repeated node: one angle sum
+    # per node set and evaluation, however many sets the model has; a set
+    # that repeats nodes, a head or another grade-1 kind runs the chain
     # from the nodes themselves
     random_points = np.random.default_rng(8).uniform(0, 1, (150, 1))
     one_key = [_tau_multiples(0.005), None, _tau_multiples(0.005)]
-    assert _node_plan_takes_angle_sum(_planned_model(2, one_key), random_points, angle_sums)
+    assert _node_plan_takes_angle_sum(_planned_model(2, one_key), random_points, angle_sums) == 2
     # a commensurate grid repeats nodes
-    assert not _node_plan_takes_angle_sum(_planned_model(2, one_key), GRID_201, angle_sums)
+    assert _node_plan_takes_angle_sum(_planned_model(2, one_key), GRID_201, angle_sums) == 0
     # two node keys, the first two smoothed grades sharing one
     two_keys = one_key + [_tau_multiples(0.004)]
-    assert not _node_plan_takes_angle_sum(_planned_model(2, two_keys), random_points, angle_sums)
+    assert _node_plan_takes_angle_sum(_planned_model(2, two_keys), random_points, angle_sums) == 4
+    assert angle_sums.made[:4] == [(150, 200)] * 4
     head = mlp.he_init(1, [5, 6], 2, [TANH, RELU], SplitMix64(4))
-    assert not _node_plan_takes_angle_sum(_planned_model(2, one_key, head), random_points, angle_sums)
-    not_sincos = _planned_model(2, one_key)
+    assert _node_plan_takes_angle_sum(_planned_model(2, two_keys, head), random_points, angle_sums) == 0
+    not_sincos = _planned_model(2, two_keys)
     not_sincos.grades[0].activation = TANH
-    assert not _node_plan_takes_angle_sum(not_sincos, random_points, angle_sums)
+    assert _node_plan_takes_angle_sum(not_sincos, random_points, angle_sums) == 0
     assert angle_sums.filled
 
 
@@ -779,11 +781,8 @@ def _dyadic(count, quad_points, renormalize=False):
 )
 def test_node_plan_on_a_commensurate_grid_matches_reference(t, renormalize, hybrid):
     # three node sets on a dyadic grid, a plain grade between them.  The
-    # coarse set (the deepest) lies in the wide one, and the wide set's
-    # nodes but 32 lie in the narrow one.  So the plan runs the coarse
-    # set's 863 nodes, pooling all three grades at the ones in their sets,
-    # then the narrow set's other 832 nodes together with the one wide
-    # node left, a group too short to run alone
+    # coarse set lies in the wide one, and the wide set's nodes but 32 lie
+    # in the narrow one; each set takes a chain run of its own
     head = mlp.he_init(1, [5, 6], t, [TANH, RELU], SplitMix64(4)) if hybrid else None
     wide, narrow, coarse = _dyadic(32, 64, renormalize), _dyadic(16, 64), _dyadic(32, 32)
     model = _planned_model(t, [wide, None, narrow, coarse], head)
@@ -806,27 +805,6 @@ def test_node_plan_on_random_points_matches_reference(t):
     _assert_stages_match_reference(model, x)
 
 
-@pytest.mark.parametrize("t", [1, 20])
-def test_short_node_group_runs_with_the_next_deeper_group(t, monkeypatch):
-    # the wide set's nodes not in the narrow set, 16 beyond each end of the
-    # grid, would form a group of 32 rows; they run with the narrow set's
-    # 864 nodes instead, as one chain run of 896 rows
-    model = _planned_model(t, [_dyadic(32, 64), _dyadic(16, 64)])
-    x = (np.arange(0, 401) / 128.0)[:, None]
-    wide, narrow = _distinct_keys(model, x)
-    assert narrow.size == 864 and np.setdiff1d(wide, narrow).size == 32 < MIN_GROUP_ROWS
-    runs = []
-    run_chain = Model.run_chain
-
-    def recording_chain(self, points, wanted=(), *args, **kwargs):
-        runs.append((len(points), sorted(wanted)))
-        return run_chain(self, points, wanted, *args, **kwargs)
-
-    monkeypatch.setattr(Model, "run_chain", recording_chain)
-    _assert_stages_match_reference(model, x)
-    assert runs[:2] == [(len(x), [0]), (896, [1, 2])]
-
-
 @pytest.mark.parametrize("node_sets, hybrid", [(1, False), (2, False), (2, True)])
 def test_predict_on_zero_rows_gives_zero_rows(node_sets, hybrid):
     if node_sets == 1:
@@ -843,8 +821,8 @@ def test_predict_on_zero_rows_gives_zero_rows(node_sets, hybrid):
 
 def test_node_plan_peak_memory_stays_below_all_node_values():
     # six node sets of 20000 random-point nodes each, 73769 distinct in
-    # all: each grade's node values are contracted and dropped after the
-    # last group holding its nodes, so the plan never holds them all
+    # all: each grade's node values are contracted and dropped after its
+    # set's chain run, so the plan never holds them all
     sets = [_tau_multiples(tau) for tau in (0.01, 0.008, 0.006, 0.005, 0.004, 0.003)]
     model = _planned_model(40, sets, width=44)
     x = np.random.default_rng(5).uniform(0.0, 1.0, (100, 1))
@@ -866,8 +844,8 @@ def test_node_plan_peak_memory_stays_below_all_node_values():
 @pytest.mark.parametrize("hybrid", [False, True])
 def test_chain_work_arrays_keep_the_reference_bits(hybrid):
     # the chain reuses two work arrays per width over every block and grade:
-    # widths 100 -> 120 -> 100, an uneven last block, a select mask that
-    # leaves some blocks without rows, and a consumed carry kept at its width
+    # widths 100 -> 120 -> 100, an uneven last block, and a consumed carry
+    # kept at its width
     rng = np.random.default_rng(12)
     head = mlp.he_init(1, [5, 6], 2, [TANH, RELU], SplitMix64(4)) if hybrid else None
     model = Model(1, 2, head=head)
@@ -887,13 +865,9 @@ def test_chain_work_arrays_keep_the_reference_bits(hybrid):
     sizes = [b.stop - b.start for b in blocks]
     assert len(blocks) > 3 and len(set(sizes)) > 1
     points = np.linspace(-1.0, 1.0, n)[:, None]
-    mask = np.zeros(n, dtype=bool)
-    mask[blocks[1]] = rng.random(sizes[1]) < 0.5
-    mask[blocks[3].start : blocks[3].start + 600] = True
-    comps, kept = model.run_chain(points, [0, 1, 2, 3], keep=2, select={2: mask})
-    for k in (0, 1, 3):
+    comps, kept = model.run_chain(points, [0, 1, 2, 3], keep=2)
+    for k in range(4):
         assert np.array_equal(comps[k], ref.raw_component(model, k, points))
-    assert np.array_equal(comps[2], ref.raw_component(model, 2, points[mask]))
     assert kept.depth == 2 and np.array_equal(kept.feats, ref.features(model, 2, points))
     comps, kept = model.run_chain(points, [1], keep=0)
     assert kept.depth == 0 and np.array_equal(kept.feats, ref.features(model, 0, points))
@@ -946,6 +920,20 @@ def test_carry_must_cover_the_points():
     with pytest.raises(ValueError, match="4 rows for 3 points"):
         model.run_chain(np.zeros((3, 1)), [1], carry)
     assert model.run_chain(np.zeros((4, 1)), [1], carry)[0][1].shape == (4, 1)
+
+
+def test_carry_and_keep_need_one_node_set():
+    # training carries features at the nodes of one set; over several sets
+    # neither a carry nor a kept depth would say which set's nodes it holds
+    model = _planned_model(1, [_tau_multiples(0.005), _tau_multiples(0.004)])
+    x = np.random.default_rng(3).uniform(0, 1, (5, 1))
+    carry = Carry(1, ref.node_features(model, 1, _tau_multiples(0.005), x).copy())
+    with pytest.raises(ValueError, match="one node set"):
+        model._planned_components(x, [1, 2], carry=carry)
+    with pytest.raises(ValueError, match="one node set"):
+        model._planned_components(x, [1, 2], keep=2)
+    comps, kept = model._planned_components(x, [1], carry=carry, keep=2)
+    assert np.array_equal(comps[1], ref.component(model, 1, x)) and kept.depth == 2
 
 
 def test_empty_model_predict_raises():

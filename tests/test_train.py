@@ -64,7 +64,30 @@ def test_pythagorean_identity_per_grade():
         lhs = sq_norm(residual)
         rhs = sq_norm(nxt) + sq_norm(comp)
         assert abs(lhs - rhs) <= 1e-8 * lhs
+        # the record's defect is the identity's relative gap, rounding alone
+        # for an unsmoothed direct grade, beside the grade's energy share
+        assert abs(report.records[k].pythagoras_defect) < 1e-12
+        assert report.records[k].energy_share == sq_norm(comp) / sq_norm(ds.targets)
         residual = nxt
+
+
+def test_smoothed_grade_shows_its_pythagoras_defect():
+    # a smoothed component is not the projection of the residual, so its
+    # defect is what the record reads: the identity's gap, from the arrays
+    ds = make_train(target_nondiff(), -1.0, 1.0, 0.0, 60)
+    window = smoothing.TauMultiples(3.0)
+    cfg = TrainConfig(
+        grades=[
+            GradeConfig(width=8, activation=TANH, solver=DIRECT),
+            GradeConfig(width=8, tau=0.05, window=window, quad_points=21, solver=DIRECT),
+        ]
+    )
+    model, report = train_sal(ds, cfg)
+    before = ds.targets - model.component_values(0, ds.inputs)
+    comp = model.component_values(1, ds.inputs)
+    want = (sq_norm(before) - sq_norm(before - comp) - sq_norm(comp)) / sq_norm(before)
+    assert report.records[1].pythagoras_defect == want
+    assert abs(report.records[1].pythagoras_defect) > 1e-9
 
 
 def test_partial_parseval_after_five_grades():
@@ -377,27 +400,28 @@ def test_rse_test_is_that_of_the_running_predict_path_sum(hybrid):
     assert [r.rse_train for r in untracked.records] == [r.rse_train for r in report.records]
 
 
-def test_test_set_runs_each_union_node_once_at_its_deepest_grade_after_training(monkeypatch):
-    # grades[1:3] share one node set and grades[3] has its own; the test set
-    # is scored by one chain run at the test points for the plain grades
-    # and one per group of the union of both node sets, in which each node
-    # is evaluated once, to the deepest grade whose set holds it
+def test_test_set_runs_each_node_set_once_after_training(monkeypatch):
+    # grades[1:3] share one node set and grades[3] has its own; after the
+    # last grade has trained, the test set is scored by one chain run at
+    # the test points for the plain grades and one per node set, with no
+    # features kept.  No test node repeats, so each set's run starts from
+    # grade 1's features at its nodes by angle addition
     ds = make_train(target_nondiff(), -1.0, 1.0, 0.0, 61)
     test = make_test(target_nondiff(), -1.0, 1.0, 37, seed=6)
     grades = _two_node_set_grades()
-    deepest = {}
-    for ks in ([1, 2], [3]):
-        sm = smoothing.Smoother(grades[ks[0]].tau, grades[ks[0]].window, grades[ks[0]].quad_points)
-        for key in smoothing.quadrature_nodes(sm, test.inputs[:, 0]).view(np.int64).tolist():
-            deepest[key] = max(deepest.get(key, 0), ks[-1])
-    test_keys = set(deepest) | set(test.inputs[:, 0].view(np.int64).tolist())
+    for g in (grades[1], grades[3]):
+        nodes = smoothing.quadrature_nodes(smoothing.Smoother(g.tau, g.window, g.quad_points), test.inputs[:, 0])
+        assert np.unique(nodes.view(np.int64)).size == nodes.size
     events = []
     run_chain, train_grade = Model.run_chain, train_mod.train_grade
 
-    def recording_chain(self, points, wanted=(), carry=None, keep=None, select=None):
-        keys = None if carry is not None else points[:, 0].view(np.int64).tolist()
-        events.append(("chain", keys, sorted(wanted), keep))
-        return run_chain(self, points, wanted, carry, keep, select)
+    def recording_chain(self, points, wanted=(), carry=None, keep=None):
+        if carry is not None and isinstance(carry.feats, model_mod._AngleSum):
+            rows = ("angles", len(carry.feats.s), carry.feats.per_point)
+        else:
+            rows = None if carry is not None else points[:, 0].view(np.int64).tolist()
+        events.append(("chain", rows, sorted(wanted), keep))
+        return run_chain(self, points, wanted, carry, keep)
 
     def recording_grade(*args, **kwargs):
         result = train_grade(*args, **kwargs)
@@ -409,25 +433,20 @@ def test_test_set_runs_each_union_node_once_at_its_deepest_grade_after_training(
     train_sal(ds, TrainConfig(grades), test=test)
     last_grade = max(i for i, e in enumerate(events) if e[0] == "grade")
     assert [e[0] for e in events].count("grade") == len(grades)
-    test_runs = [
-        (i, e) for i, e in enumerate(events) if e[0] == "chain" and e[1] is not None and set(e[1]) <= test_keys
+    assert events[last_grade + 1 :] == [
+        ("chain", test.inputs[:, 0].view(np.int64).tolist(), [0, 4], None),
+        ("chain", ("angles", 37, 21), [1, 2], None),
+        ("chain", ("angles", 37, 31), [3], None),
     ]
-    assert [i for i, _ in test_runs] == list(range(last_grade + 1, len(events)))
-    runs = [e[1:] for _, e in test_runs]
-    assert runs[0] == (test.inputs[:, 0].view(np.int64).tolist(), [0, 4], None)
-    evaluated = [key for keys, _, _ in runs[1:] for key in keys]
-    assert sorted(evaluated) == sorted(deepest)
-    for keys, wanted, keep in runs[1:]:
-        assert keep is None and {deepest[key] for key in keys} == {max(wanted)}
-    assert [max(wanted) for _, wanted, _ in runs[1:]] == [3, 2]
 
 
 def test_training_runs_each_smoothed_grade_once_over_its_distinct_nodes(monkeypatch):
-    # training evaluates a smoothed grade through the node plan predict
-    # runs, never through smooth_fn_grid: one chain run over its node set's
-    # distinct nodes, starting from the previous grade's features there
-    # when the sets agree, and keeping N_k (combination) or N_{k+1} for
-    # the next grade of the same set
+    # training evaluates a smoothed grade through the chain run predict
+    # makes, never through smooth_fn_grid: one chain run over its node
+    # set's distinct nodes, starting from the previous grade's features
+    # there when the sets agree, or else from grade 1's features there by
+    # angle addition (neither set repeats a node), and keeping N_k
+    # (combination) or N_{k+1} for the next grade of the same set
     ds = make_train(target_nondiff(), -1.0, 1.0, 0.0, 61)
     shared = smoothing.GridSteps(10, 2e-3)
     grades = [
@@ -450,11 +469,13 @@ def test_training_runs_each_smoothed_grade_once_over_its_distinct_nodes(monkeypa
     calls = []
     run_chain = Model.run_chain
 
-    def recording_chain(self, points, wanted=(), carry=None, keep=None, select=None):
+    def recording_chain(self, points, wanted=(), carry=None, keep=None):
         keys = None if points is None else points[:, 0].view(np.int64).tolist()
         held = None if carry is None else (carry.depth, len(carry.feats))
+        if carry is not None and isinstance(carry.feats, model_mod._AngleSum):
+            held += ("angles",)
         calls.append((keys, sorted(wanted), held, keep))
-        return run_chain(self, points, wanted, carry, keep, select)
+        return run_chain(self, points, wanted, carry, keep)
 
     def no_smooth_fn_grid(*args, **kwargs):
         raise AssertionError("training called smooth_fn_grid")
@@ -467,13 +488,13 @@ def test_training_runs_each_smoothed_grade_once_over_its_distinct_nodes(monkeypa
     assert calls == [
         (xk, [], None, 0),
         (None, [0], (0, n), 1),
-        (sk, [1], None, 1),
+        (None, [1], (1, len(sk), "angles"), 1),
         (None, [], (1, n), 2),
         (sk, [2], (1, len(sk)), 3),
         (None, [], (2, n), 3),
         (sk, [3], (3, len(sk)), None),
         (None, [], (3, n), 4),
-        (tk, [4], None, None),
+        (None, [4], (1, len(tk), "angles"), None),
         (None, [], (4, n), 5),
         (None, [5], (5, n), 6),
     ]
@@ -564,20 +585,26 @@ def test_training_takes_angle_sum_when_the_finished_model_has_one_node_key(monke
 
 
 @pytest.mark.parametrize("shared_first", [False, True])
-def test_training_never_takes_angle_sum_with_two_node_keys(shared_first, monkeypatch):
+def test_training_takes_angle_sum_at_each_whole_node_set(shared_first, monkeypatch):
     # two node keys, with or without the first two smoothed grades sharing
-    # one: the finished model predicts through the union plan, so no run
-    # of training, test scoring or predict forms N_1 by angle addition,
-    # although no node set repeats a node
+    # one, and no node set repeats a node: training takes the angle sum at
+    # the first grade of each set, test scoring and predict take it once
+    # per set, and every value keeps the reference's bits
     ds = make_train(target_nondiff(), -1.0, 1.0, 0.1, 61)
     test = make_test(target_nondiff(), -1.0, 1.0, 37, seed=6)
     grades = _two_node_set_grades()
     if not shared_first:
         del grades[2]
+    for g in (grades[1], grades[-2]):
+        sm = smoothing.Smoother(g.tau, g.window, g.quad_points)
+        for x in (ds.inputs, test.inputs):
+            nodes = smoothing.quadrature_nodes(sm, x[:, 0])
+            assert np.unique(nodes.view(np.int64)).size == nodes.size
     made = _angle_sums_made(monkeypatch)
     model, report = train_sal(ds, TrainConfig(grades), test=test)
+    assert made == [(61, 21), (61, 31), (37, 21), (37, 31)]
     _check_against_reference(model, report, ds, test)
-    assert made == []
+    assert made[4:] == [(61, 21)] * (1 + shared_first) + [(61, 31)] + [(37, 21), (37, 31)] * 2
 
 
 def test_train_sal_bits_match_reference_pooling(monkeypatch):
