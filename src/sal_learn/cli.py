@@ -415,12 +415,19 @@ def _log(out_dir: Path, lines: list[str]) -> None:
 
 
 def _grade_lines(report: TrainReport) -> list[str]:
-    """One run.log line per grade: iterations, rse_train, the Pythagoras
-    defect and energy share of a SAL grade, and the solver's outcome, with
-    the final objective and the Lipschitz estimate of a Nesterov solve."""
+    """One run.log line per grade: iterations; for a SAL grade its units
+    when fewer than its width, and its orthogonality defect; rse_train; the
+    Pythagoras defect and energy share of a SAL grade; and the solver's
+    outcome, with the final objective and the Lipschitz estimate of a
+    Nesterov solve."""
     lines = []
     for rec in report.records:
-        line = f"grade {rec.grade}: iterations={rec.iterations} rse_train={rec.rse_train:.5e}"
+        line = f"grade {rec.grade}: iterations={rec.iterations}"
+        if rec.units is not None and rec.units < rec.width:
+            line += f" units={rec.units}/{rec.width}"
+        if rec.orthogonality_defect is not None:
+            line += f" orthogonality_defect={rec.orthogonality_defect:.3e}"
+        line += f" rse_train={rec.rse_train:.5e}"
         if rec.energy_share is not None:
             defect = "none" if rec.pythagoras_defect is None else f"{rec.pythagoras_defect:.3e}"
             line += f" pythagoras_defect={defect} energy_share={rec.energy_share:.5e}"

@@ -243,6 +243,15 @@ class Grade:
     `smoother` being set means the component (not the features) is smoothed;
     prediction then quadratures the raw pooled affine image around each query
     point, exactly as the training residual saw it.
+
+    The grade's *units* are the bitwise-distinct rows of [W b], in order of
+    first occurrence; `groups` gives the unit of each of the width rows.
+    Rows with equal bits give equal pre-activations, so the chain evaluates
+    the grade on its units alone (see Model.run_chain).  A direct grade,
+    [W b] = lift(M^T), has 2t - 1 units when the pooling is wider than
+    2t - 1: every window covers the columns t-1..mu, so lift's rows there
+    are equal.  The units come from the saved W and b alone, so a reloaded
+    model has the same ones.
     """
 
     weight: np.ndarray
@@ -265,6 +274,66 @@ class Grade:
     def width(self) -> int:
         return self.weight.shape[0]
 
+    @cached_property
+    def _units(self) -> tuple[np.ndarray, np.ndarray]:
+        wb = np.ascontiguousarray(np.column_stack([self.weight, self.bias]))
+        keys = wb.view(np.dtype((np.void, wb.itemsize * wb.shape[1]))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        return first[order], rank[inverse.ravel()]
+
+    @property
+    def units(self) -> int:
+        """The number of bitwise-distinct rows of [W b]."""
+        return len(self._units[0])
+
+    @property
+    def unit_rows(self) -> np.ndarray:
+        """The first row of each unit, ascending."""
+        return self._units[0]
+
+    @property
+    def groups(self) -> np.ndarray | None:
+        """The unit of each row, or None when every row is its own unit."""
+        return None if self.units == self.width else self._units[1]
+
+
+def _sum_columns(mat: np.ndarray, groups: np.ndarray, count: int) -> np.ndarray:
+    """mat's columns summed into `count` columns, column c into groups[c],
+    each sum taken in ascending column order from 0.0."""
+    out = np.zeros((mat.shape[0], count))
+    np.add.at(out, (slice(None), groups), mat)
+    return out
+
+
+def _unit_affine(prev: Grade | None, g: Grade) -> tuple[np.ndarray, np.ndarray]:
+    """Grade g's W and b as the chain applies them: g's unit rows, acting on
+    prev's units (on the input when prev is None), so each column group of
+    prev is summed into one column.  A grade that folds on neither side
+    keeps its own arrays, and so its bits."""
+    weight, bias = g.weight, g.bias
+    if g.groups is not None:
+        weight, bias = weight[g.unit_rows], bias[g.unit_rows]
+    if prev is not None and prev.groups is not None:
+        weight = _sum_columns(weight, prev.groups, prev.units)
+    return weight, bias
+
+
+def _unit_pooling(g: Grade):
+    """The map from g's pre-activation on its units to its pooled
+    component: Pooling.apply when g does not fold; at mu = 0 the gather to
+    every row, which keeps apply's copy semantics for inf, NaN and -0.0;
+    else the product with P's columns summed over g's groups."""
+    if g.groups is None:
+        return g.pooling.apply
+    groups = g.groups
+    if g.pooling.mu == 0:
+        return lambda pre: pre[:, groups]
+    pooled_t = _sum_columns(g.pooling.matrix(), groups, g.units).T
+    return lambda pre: pre @ pooled_t
+
 
 class _AngleSum:
     """N_1 at the quadrature nodes x_j + o_i of one node set (point-major,
@@ -275,20 +344,22 @@ class _AngleSum:
     S_j C'_i + C_j S'_i for S_j, C_j = sqrt(1/2) sin, cos(z_j + pi/4) at
     the n points and S'_i, C'_i = sin, cos(o_i w) at the M offsets: the
     four tables take 2(n + M) w sines and cosines in place of n M w.  z_j
-    is the affine image run_chain forms at the plain points.
+    is the affine image run_chain forms at the plain points.  Like the
+    chain, it forms N_1 on grade 1's units (_unit_affine).
     """
 
     def __init__(self, grade: Grade, xs: np.ndarray, offsets: np.ndarray):
-        self.width = grade.width
+        weight, bias = _unit_affine(None, grade)
+        self.width = len(weight)
         self.per_point = len(offsets)
-        z = np.matmul(xs[:, None], grade.weight.T)
-        z += grade.bias
+        z = np.matmul(xs[:, None], weight.T)
+        z += bias
         z += _QUARTER_PI
         self.s = np.sin(z)
         self.s *= _SQRT_HALF
         self.c = np.cos(z, out=z)
         self.c *= _SQRT_HALF
-        shift = np.matmul(offsets[:, None], grade.weight.T)
+        shift = np.matmul(offsets[:, None], weight.T)
         self.s_off = np.sin(shift)
         self.c_off = np.cos(shift, out=shift)
 
@@ -310,8 +381,10 @@ class _AngleSum:
 @dataclass
 class Carry:
     """The features N_depth at every row of one point set, kept between chain
-    runs.  feats is an (n, width) array or, at depth 1 on the nodes of one
-    node set, the _AngleSum that forms N_1 there block by block."""
+    runs, on the units of grade `depth` (the input's columns at depth 0).
+    feats is an (n, units) array or, at depth 1 on the nodes of one node
+    set, the _AngleSum that forms N_1 there block by block.  The layout
+    depends on that grade alone; Model.expand gives the full width."""
 
     depth: int
     feats: np.ndarray | _AngleSum
@@ -380,7 +453,16 @@ class Model:
         come back as a Carry; a carry passed in is then consumed, since its
         array is overwritten when the widths agree.
 
-        The call makes two work arrays per grade width, as long as the
+        Every grade is evaluated on its units (Grade.groups), and so are the
+        features it passes on: once per call, each grade gets the W and b
+        of _unit_affine (its unit rows, with the columns of the previous
+        grade's groups summed) and the pooling of _unit_pooling.  The
+        expanded features would repeat each unit's column over its group,
+        so the components agree with the full-width products to rounding.
+        A grade that folds on neither side runs its own W, b and
+        Pooling.apply and keeps their bits.
+
+        The call makes two work arrays per unit count, as long as the
         longest block, and every block and grade reuses them: the affine
         image goes into the first (np.matmul with out=, then += bias, the
         operations of qp.residual); the activation is then written into the
@@ -410,7 +492,11 @@ class Model:
             keep, kept = None, carry
         blocks = _row_blocks(n, angles.per_point if angles is not None else 1)
         longest = max(b.stop - b.start for b in blocks)
-        widths = {g.width for g in self.grades[start:stop]}
+        steps = {}  # grade -> (weight, bias, pooling or None) on its units
+        for j in range(start, stop):
+            weight, bias = _unit_affine(self.grades[j - 1] if j else None, self.grades[j])
+            steps[j] = weight, bias, _unit_pooling(self.grades[j]) if j in comps else None
+        widths = {len(w) for w, _, _ in steps.values()}
         if angles is not None:
             widths.add(angles.width)
         work = {w: (np.empty((longest, w)), np.empty((longest, w))) for w in widths}
@@ -425,18 +511,25 @@ class Model:
                 kept = _kept(kept, carry, n, a.shape[1], keep)
                 kept.feats[rows] = a
             for j in range(start, stop):
-                g = self.grades[j]
-                pre_buf, act_buf = work[g.width]
-                pre = np.matmul(a, g.weight.T, out=pre_buf[: len(a)])
-                pre += g.bias
-                if j in comps:
-                    comps[j][rows] = g.pooling.apply(pre)
+                weight, bias, pool = steps[j]
+                pre_buf, act_buf = work[len(weight)]
+                pre = np.matmul(a, weight.T, out=pre_buf[: len(a)])
+                pre += bias
+                if pool is not None:
+                    comps[j][rows] = pool(pre)
+                act = self.grades[j].activation
                 if j + 1 == keep:
-                    kept = _kept(kept, carry, n, g.width, keep)
-                    a = g.activation.into(pre, kept.feats[rows])
+                    kept = _kept(kept, carry, n, len(weight), keep)
+                    a = act.into(pre, kept.feats[rows])
                 elif j + 1 < stop:
-                    a = g.activation.into(pre, act_buf[: len(pre)])
+                    a = act.into(pre, act_buf[: len(pre)])
         return comps, kept
+
+    def expand(self, carry: Carry) -> np.ndarray:
+        """The carry's features at full width: each unit's column repeated
+        over its group, or the carry's own array when its grade does not fold."""
+        groups = self.grades[carry.depth - 1].groups if carry.depth else None
+        return carry.feats if groups is None else carry.feats[:, groups]
 
     def features(self, x: np.ndarray, upto: int | None = None) -> np.ndarray:
         """Feature recursion N_k at the rows of x (k = upto, default all grades).
@@ -449,7 +542,7 @@ class Model:
             upto = len(self.grades)
         if not 0 <= upto <= len(self.grades):
             raise IndexError(f"feature depth {upto} out of range")
-        return self.run_chain(x, keep=upto)[1].feats
+        return self.expand(self.run_chain(x, keep=upto)[1])
 
     def _components(self, x: np.ndarray, ks: Sequence[int]) -> dict[int, np.ndarray]:
         """Components of grades ks at the rows of x: one chain run at x for

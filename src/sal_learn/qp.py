@@ -21,7 +21,7 @@ by 1 - 2*ridge/L.  So the accelerated iteration runs on the pooled image,
 t x (p + 1) unknowns, plus that one scale (see nesterov_solve), at two
 (m x (p+1) x t) products with F~ per step and no pooling.  It takes the
 full iteration's steps up to rounding.  residual, objective and gradient
-are the full-(W, b) forms, which orthogonality_defect and the tests use.
+are the full-(W, b) forms, which the tests use.
 """
 
 from __future__ import annotations
@@ -353,14 +353,21 @@ def orthogonality_defect(problem: Problem, weight: np.ndarray, bias: np.ndarray)
     bias); at a least-squares optimum the residual is orthogonal to all of
     them (the projection characterization), so small values certify
     near-optimality independent of scaling.
+
+    It works in pooled coordinates, as nesterov_solve does: the residual is
+    E - F~ (P [W b])^T and the inner products are P^T (R^T F~), so nothing
+    of (m x width) size is made.
     """
-    r = residual(problem, weight, bias)
+    weight, bias = _params(problem, weight, bias)
+    pool = problem.pooling
+    f1 = problem.augmented
+    theta = pool.apply(np.column_stack([weight, bias]).T).T  # P [W b]
+    r = problem.targets - f1 @ theta.T
     r_norm = float(np.sqrt(np.sum(r * r)))
     if r_norm == 0.0:
         return 0.0
-    f1 = problem.augmented
-    ip = problem.pooling.adjoint(r).T @ f1  # (in_dim, p+1): <r, d_ac>
-    col_p = np.sum(problem.pooling.matrix() ** 2, axis=0)  # ||P e_a||^2
-    col_f = np.sum(f1**2, axis=0)  # sum_j f~_j[c]^2
+    ip = pool.adjoint((r.T @ f1).T).T  # (in_dim, p+1): <r, d_ac>
+    col_p = np.sum(pool.matrix() ** 2, axis=0)  # ||P e_a||^2
+    col_f = np.einsum("ij,ij->j", f1, f1)  # sum_j f~_j[c]^2
     denom = np.sqrt(np.outer(col_p, col_f)) * r_norm
     return float((np.abs(ip) / np.maximum(denom, 1e-300)).max())

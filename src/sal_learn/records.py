@@ -27,6 +27,12 @@ class GradeRecord:
     # None when e_{k-1} is zero, and for a hybrid head
     pythagoras_defect: float | None = None
     energy_share: float | None = None  # ||f_k||^2 / ||y||^2, a term of the Parseval sum
+    # qp.orthogonality_defect of the solution on the grade's own problem:
+    # the largest cosine between the fit residual and a parameter direction,
+    # 0 to rounding at an exact least-squares optimum
+    orthogonality_defect: float | None = None
+    units: int | None = None  # bitwise-distinct rows of [W b] (Grade.units)
+    width: int | None = None
 
 
 @dataclass

@@ -136,6 +136,18 @@ class _Carried:
         return comps[k]
 
 
+def _solve(
+    feats: np.ndarray, residual: np.ndarray, pooling: Pooling, ridge: float, solver: qp.SolverConfig
+) -> tuple[np.ndarray, np.ndarray, qp.SolveStats, float]:
+    """The grade's W, b and solve stats, and the orthogonality defect of
+    the solution, taken while the problem is alive.  Only this call holds
+    the problem, so its [F 1] is freed before the component's node chain
+    runs."""
+    problem = qp.assemble(feats, residual, pooling, ridge)
+    weight, bias, stats = qp.solve(problem, solver)
+    return weight, bias, stats, qp.orthogonality_defect(problem, weight, bias)
+
+
 def train_grade(
     model: Model,
     dataset: Dataset,
@@ -162,12 +174,12 @@ def train_grade(
             raise ValueError(f"grade width {cfg.width} must be >= output dim {t}")
         if carried is None:
             carried = _Carried(model, x)
-        feats = carried.plain.feats
+        # the problem is posed on the full-width [F 1]: lstsq's cut would see
+        # other singular values on the carried units alone
+        feats = model.expand(carried.plain)
         pooling = Pooling(out_dim=t, mu=cfg.width - t)
         ridge = cfg.solver.ridge if cfg.solver.method == "nesterov" else 0.0
-        # no name holds the problem, so its [F 1] is freed before the
-        # component's node chain runs
-        weight, bias, stats = qp.solve(qp.assemble(feats, residual, pooling, ridge), cfg.solver)
+        weight, bias, stats, defect = _solve(feats, residual, pooling, ridge, cfg.solver)
     except Exception as exc:
         raise RuntimeError(f"grade {k + 1} failed: {exc}") from exc
 
@@ -214,6 +226,9 @@ def train_grade(
         lipschitz=stats.lipschitz,
         pythagoras_defect=(before - after - energy) / before if before > 0.0 else None,
         energy_share=energy / total,
+        orthogonality_defect=defect,
+        units=grade.units,
+        width=grade.width,
     )
     return grade, new_residual, record
 

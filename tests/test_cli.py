@@ -520,6 +520,22 @@ def test_run_log_names_each_grade_solver_outcome(tmp_path):
     assert "pythagoras_defect" not in header and "energy_share" not in header
 
 
+def test_run_log_gives_units_and_orthogonality_defect(tmp_path):
+    # a direct grade at t = 1 has one unit: every row of lift(M^T) is equal
+    doc = sal_doc()
+    doc["sal"]["grades"].append({"width": 5, "activation": "tanh", "init": "randn", "max_iters": 5})
+    out = tmp_path / "out"
+    assert main(["train-sal", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    lines = (out / "run.log").read_text().splitlines()
+    grade_lines = [line for line in lines if line.startswith("grade ")]
+    assert [re.search(r" units=(\S+)", line)[1] for line in grade_lines[:2]] == ["1/6", "1/6"]
+    assert " units=" not in grade_lines[2]  # a random start keeps its rows distinct
+    for line in grade_lines:
+        assert re.search(r" orthogonality_defect=\d\.\d{3}e[+-]\d\d rse_train=", line)
+    # the first grade is an exact, uncut least squares on [x 1]
+    assert float(re.search(r"orthogonality_defect=(\S+)", grade_lines[0])[1]) < 1e-9
+
+
 def masked_report(path):
     """CSV rows with the wall-time column blanked out."""
     rows = read_csv_rows(path)

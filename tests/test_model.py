@@ -914,6 +914,116 @@ def test_second_chain_run_takes_few_page_faults():
     assert int(run.stdout) < 4096
 
 
+def _lifted_grade(rng, prev, width, t, act, smoother=None):
+    """A grade of the direct solve's form: [W b] = lift(M^T) for a random M."""
+    pooling = Pooling(t, width - t)
+    theta = pooling.lift(rng.standard_normal((t, prev + 1)))
+    return Grade(np.ascontiguousarray(theta[:, :-1]), theta[:, -1].copy(), pooling, act, smoother)
+
+
+def _folding_model(t, smoother=None):
+    """Random-row grades (all rows distinct) around direct-form grades, whose
+    lifted rows repeat: 2t - 1 units each."""
+    rng = np.random.default_rng(20 + t)
+    model = Model(1, t)
+    specs = [(40, SINCOS_HALF, False), (40, RELU, True), (48, TANH, True), (30, RELU, False), (40, TANH, True)]
+    prev = 1
+    for i, (width, act, lifted) in enumerate(specs):
+        sm = smoother if i == 2 else None
+        if lifted:
+            model.grades.append(_lifted_grade(rng, prev, width, t, act, sm))
+        else:
+            weight = rng.standard_normal((width, prev)) / np.sqrt(prev)
+            model.grades.append(Grade(weight, rng.standard_normal(width), Pooling(t, width - t), act, sm))
+        prev = width
+    assert [g.units for g in model.grades] == [40, 2 * t - 1, 2 * t - 1, 30, 2 * t - 1]
+    return model
+
+
+def _full_width_chain(model, points):
+    """Each grade's raw component and the last features from the full-width
+    products a @ W.T + b and Pooling.apply."""
+    comps, a = [], points
+    for g in model.grades:
+        pre = a @ g.weight.T + g.bias
+        comps.append(g.pooling.apply(pre))
+        a = g.activation(pre)
+    return comps, a
+
+
+def _rel_err(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("t", [1, 3])
+def test_folded_evaluation_matches_the_full_width_chain(t):
+    model = _folding_model(t)
+    points = np.linspace(-1.0, 1.0, 2 * BLOCK_ROWS + 5)[:, None]
+    comps, kept = model.run_chain(points, range(5), keep=5)
+    want, feats = _full_width_chain(model, points)
+    assert kept.feats.shape[1] == 2 * t - 1
+    for k in range(5):
+        assert _rel_err(comps[k], want[k]) < 1e-12
+    assert _rel_err(model.expand(kept), feats) < 1e-12
+
+
+def test_grades_with_distinct_rows_keep_the_full_width_bits():
+    model = _cascade(None)
+    assert all(g.groups is None and g.units == g.width for g in model.grades)
+    points = np.linspace(-1.0, 1.0, 2 * BLOCK_ROWS + 5)[:, None]
+    comps, kept = model.run_chain(points, range(6), keep=6)
+    want, feats = _full_width_chain(model, points)
+    for k in range(6):
+        assert np.array_equal(comps[k], want[k])
+    assert np.array_equal(kept.feats, feats) and np.array_equal(model.expand(kept), feats)
+
+
+def test_features_are_full_width_with_equal_columns_per_group():
+    model = _folding_model(3)
+    points = np.linspace(-1.0, 1.0, 300)[:, None]
+    for k, g in enumerate(model.grades, start=1):
+        feats = model.features(points, upto=k)
+        assert feats.shape == (300, g.width)
+        if g.groups is not None:
+            assert np.array_equal(feats, feats[:, g.unit_rows][:, g.groups])
+            assert len(np.unique(g.groups)) == g.units < g.width
+
+
+def test_units_are_the_distinct_rows_in_order_of_first_occurrence():
+    weight = np.array([[2.0], [1.0], [2.0], [1.0], [-0.0], [0.0]])
+    g = Grade(weight, np.array([0.0, 1.0, 0.0, 1.0, 0.0, 0.0]), Pooling(1, 5), RELU)
+    # -0.0 and 0.0 have different bits, so they stay apart
+    assert g.units == 4 and g.unit_rows.tolist() == [0, 1, 4, 5]
+    assert g.groups.tolist() == [0, 1, 0, 1, 2, 3]
+    assert Grade(weight[:2], np.zeros(2), Pooling(1, 1), RELU).groups is None
+
+
+def test_mu0_grade_with_repeated_rows_keeps_inf_nan_and_signed_zero():
+    g = Grade(np.array([[1.0], [1.0], [2.0]]), np.zeros(3), Pooling(3, 0), IDENTITY)
+    assert g.groups.tolist() == [0, 0, 1]
+    pre = np.array([[np.inf, -0.0], [np.nan, 1.0], [-0.0, -np.inf], [5e-324, np.nan]])
+    comp = model_mod._unit_pooling(g)(pre)
+    full = g.pooling.apply(pre[:, [0, 0, 1]])
+    assert np.array_equal(comp, full, equal_nan=True)
+    assert np.array_equal(np.signbit(comp), np.signbit(full))
+    assert np.signbit(comp[0, 2]) and np.isinf(comp[0, 0]) and np.isnan(comp[1, 1])
+    model = Model(1, 3, [g])
+    x = np.array([[np.inf], [np.nan], [1.0]])
+    got = model.component_values(0, x)
+    assert np.array_equal(got, x @ g.weight.T + g.bias, equal_nan=True)
+    assert np.isinf(got[0]).all() and np.isnan(got[1]).all()
+
+
+def test_folded_model_reloads_with_its_units_and_bits():
+    model = _folding_model(3, smoothing.Smoother(0.01, smoothing.TauMultiples(3.0), 31))
+    loaded = model_from_dict(model_to_dict(model))
+    assert [g.units for g in loaded.grades] == [g.units for g in model.grades]
+    x = np.linspace(-0.9, 0.8, 47)[:, None]
+    assert np.array_equal(loaded.predict(x), model.predict(x))
+    for k in range(len(model.grades)):
+        assert np.array_equal(model.component_values(k, x), ref.component(model, k, x))
+
+
 def test_carry_must_cover_the_points():
     model = _smoothed_pair(1, _tau_multiples(0.005))
     carry = Carry(1, np.zeros((4, 100)))

@@ -141,6 +141,25 @@ def test_train_grade_frees_the_problem_before_the_component_chain(monkeypatch):
     assert len(problems) == 2
 
 
+def test_records_give_units_and_orthogonality_defect():
+    # direct grades at t = 1 fold to one unit; the first is an exact,
+    # uncut least squares on [x 1], the second a cut one on its features
+    ds = make_train(target_nondiff(), -1.0, 1.0, 0.0, 40)
+    randn = qp.SolverConfig(init="randn", max_iters=20)
+    cfg = TrainConfig(
+        grades=[
+            GradeConfig(width=6, activation=RELU, solver=DIRECT),
+            GradeConfig(width=6, activation=TANH, solver=DIRECT),
+            GradeConfig(width=5, activation=TANH, solver=randn),
+        ]
+    )
+    model, report = train_sal(ds, cfg)
+    assert [(r.units, r.width) for r in report.records] == [(1, 6), (1, 6), (5, 5)]
+    assert [r.units for r in report.records] == [g.units for g in model.grades]
+    assert report.records[0].orthogonality_defect < 1e-9
+    assert all(0.0 <= r.orthogonality_defect <= 1.0 + 1e-12 for r in report.records)
+
+
 def test_select_activation_recovers_generating_member():
     rng = np.random.default_rng(0)
     pre = rng.normal(size=(25, 4))
