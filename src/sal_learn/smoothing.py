@@ -171,10 +171,13 @@ def distinct_nodes(sm: Smoother, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     is returned whole, in that order, with index None.
     """
     nodes = quadrature_nodes(sm, xs)
-    keys, inv = np.unique(nodes.view(np.int64), return_inverse=True)
-    if keys.size == nodes.size:
+    keys = np.sort(nodes.view(np.int64))
+    starts = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    if starts.all():
         return nodes, None
-    return keys.view(float), inv
+    keys = keys[starts]
+    return keys.view(float), np.searchsorted(keys, nodes.view(np.int64))
 
 
 def contract(
@@ -188,25 +191,36 @@ def contract(
     points distinct_nodes(sm, xs) returned with index inv, and, for the
     renormalized form, base, the (n, t) values at xs themselves.
 
-    The values are gathered into the offset-major (M, n, t) operand of the
-    contraction.  At t = 1 that operand stays a transposed view of the
-    point-major values, the layout a plain evaluation of every node
-    contracts, since BLAS takes a different path (and may give different
-    bits) for a contiguous one.
+    The weighted sum runs over the offsets in ascending order, into an
+    (n, t) accumulator of zeros: each offset's node values go into one
+    reused (n, t) buffer (taken through inv, or a strided view of vals when
+    inv is None), base is subtracted for the renormalized form, and the
+    buffer is weighted and added.  No array larger than (n, t) is made,
+    and the bits depend on neither the BLAS build nor its thread count.
     """
     _, weights = quadrature(sm)
     n, m = xs.size, weights.size
     vals = np.asarray(vals, dtype=float).reshape(len(vals), -1)
+    t = vals.shape[1]
     if inv is None:
-        vals = vals.reshape(n, m, -1).transpose(1, 0, 2)
-    elif vals.shape[1] == 1:
-        vals = vals[inv].reshape(n, m, 1).transpose(1, 0, 2)
+        rows = vals.reshape(n, m, t)
     else:
-        vals = vals[inv.reshape(n, m).T]
-    if base is None:
-        return np.tensordot(weights, vals, axes=1)
-    base = np.asarray(base, dtype=float).reshape(n, -1)
-    return base + np.tensordot(weights, vals - base, axes=1)
+        cols = inv.reshape(n, m)
+    if base is not None:
+        base = np.asarray(base, dtype=float).reshape(n, t)
+    out = np.zeros((n, t))
+    buf = np.empty((n, t))
+    for i, w in enumerate(weights):
+        if inv is None:
+            node = rows[:, i]
+        else:
+            # inv only holds indices into vals, so "clip" never acts; it
+            # spares np.take the copy of out it makes under "raise"
+            node = np.take(vals, cols[:, i], axis=0, out=buf, mode="clip")
+        if base is not None:
+            node = np.subtract(node, base, out=buf)
+        out += np.multiply(node, w, out=buf)
+    return out if base is None else base + out
 
 
 def smooth_fn_grid(

@@ -1,6 +1,7 @@
 """Reference evaluation of a trained model: the feature recursion replayed from
 the inputs for every grade, over all rows at once, and a smoothed component
-contracted from the values at every quadrature node.
+contracted from the values at every quadrature node, weighted and summed
+offset by offset in ascending order, the order smoothing.contract sums in.
 
 The model evaluates the recursion in row blocks, only at the distinct nodes,
 and carries features from grade to grade; tests require it to match this
@@ -123,8 +124,8 @@ def component(model, k, x):
     _, weights = smoothing.quadrature(sm)
     n, m = x.shape[0], weights.size
     vals = _pooled(model, k, node_features(model, k, sm, x)).reshape(n, m, -1)
-    if not sm.renormalize:
-        return np.tensordot(weights, vals.transpose(1, 0, 2), axes=1)
-    base = raw_component(model, k, x)
-    diff = vals - base[:, None, :]
-    return base + np.tensordot(weights, diff.transpose(1, 0, 2), axes=1)
+    base = raw_component(model, k, x) if sm.renormalize else None
+    out = np.zeros((n, vals.shape[2]))
+    for i in range(m):
+        out += weights[i] * (vals[:, i] if base is None else vals[:, i] - base)
+    return out if base is None else base + out

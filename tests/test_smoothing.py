@@ -1,14 +1,18 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from sal_learn import smoothing
 from sal_learn.smoothing import (
     GridSteps,
     Smoother,
     TauMultiples,
     _peak_weight,
+    contract,
+    distinct_nodes,
     gaussian,
     gaussian_eval,
     half_width,
@@ -140,6 +144,110 @@ def test_smooth_fn_grid_evaluates_each_distinct_node_once(renormalize):
     assert np.array_equal(np.sort(seen), distinct)
     if renormalize:
         assert np.array_equal(calls[1], grid)
+
+
+def _node_set(repeats, renormalize=False):
+    """A commensurate grid, whose nodes repeat, or random points, whose nodes
+    do not; both windows end where the weights still count (4 and 6 tau)."""
+    if repeats:
+        sm = Smoother(tau=0.05, window=GridSteps(20, 0.01), quad_points=40, renormalize=renormalize)
+        return sm, np.linspace(0.0, 1.0, 101)
+    sm = Smoother(tau=0.01, window=TauMultiples(6.0), quad_points=40, renormalize=renormalize)
+    return sm, np.random.default_rng(8).uniform(0.0, 1.0, 37)
+
+
+def _node_index(inv, points, n):
+    """Each node's row in the contracted values, point-major: (n, M)."""
+    return (np.arange(points.size) if inv is None else inv).reshape(n, -1)
+
+
+@pytest.mark.parametrize("renormalize", [False, True])
+@pytest.mark.parametrize("repeats", [True, False])
+@pytest.mark.parametrize("t", [1, 20])
+def test_contract_matches_an_exactly_rounded_sum(t, repeats, renormalize):
+    sm, xs = _node_set(repeats, renormalize)
+    points, inv = distinct_nodes(sm, xs)
+    assert (inv is not None) == repeats
+    rng = np.random.default_rng(t)
+    # values of both signs over six decades, so the sums cancel
+    vals = rng.standard_normal((points.size, t)) * 10.0 ** rng.integers(-3, 4, (points.size, 1))
+    base = rng.standard_normal((xs.size, t)) if renormalize else None
+    out = contract(sm, xs, vals, inv, base)
+    weights = quadrature(sm)[1]
+    node_vals = vals[_node_index(inv, points, xs.size)]
+    terms = weights[None, :, None] * (node_vals if base is None else node_vals - base[:, None, :])
+    for p in range(xs.size):
+        for c in range(t):
+            exact = math.fsum(terms[p, :, c])
+            scale = math.fsum(np.abs(terms[p, :, c]))
+            if base is not None:
+                exact, scale = base[p, c] + exact, abs(base[p, c]) + scale
+            assert abs(out[p, c] - exact) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("renormalize", [False, True])
+@pytest.mark.parametrize("repeats", [True, False])
+def test_contract_spreads_a_non_finite_node_value_to_exactly_its_windows(repeats, renormalize):
+    sm, xs = _node_set(repeats, renormalize)
+    points, inv = distinct_nodes(sm, xs)
+    index = _node_index(inv, points, xs.size)
+    at_inf, at_nan = index[xs.size // 2, 3], index[xs.size // 3, 30]
+    vals = np.ones((points.size, 3))
+    vals[at_inf, 0] = np.inf
+    vals[at_nan, 1] = np.nan
+    base = np.full((xs.size, 3), 0.5) if renormalize else None
+    out = contract(sm, xs, vals, inv, base)
+    holds_inf, holds_nan = (index == at_inf).any(axis=1), (index == at_nan).any(axis=1)
+    assert (holds_inf.sum() > 1) == repeats and (holds_nan.sum() > 1) == repeats
+    assert np.array_equal(out[:, 0] == np.inf, holds_inf)
+    assert np.array_equal(np.isnan(out[:, 1]), holds_nan)
+    assert np.isfinite(out[~holds_inf, 0]).all() and np.isfinite(out[~holds_nan, 1]).all()
+    assert np.isfinite(out[:, 2]).all()
+
+
+@pytest.mark.parametrize("renormalize", [False, True])
+@pytest.mark.parametrize("repeats, t", [(True, 20), (False, 2)])
+def test_contract_makes_no_full_size_operand(repeats, t, renormalize):
+    # oscillatory's tau = 0.004 node set on its 2001 training points (whose
+    # nodes repeat), or 2001 random points
+    n, m = 2001, 200
+    sm = Smoother(tau=0.004, window=TauMultiples(6.0), quad_points=m, renormalize=renormalize)
+    rng = np.random.default_rng(3)
+    xs = np.linspace(0.0, 1.0, n) if repeats else rng.uniform(0.0, 1.0, n)
+    points, inv = distinct_nodes(sm, xs)
+    assert (inv is not None) == repeats
+    vals = rng.standard_normal((points.size, t))
+    base = np.ones((n, t)) if renormalize else None
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        contract(sm, xs, vals, inv, base)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < m * n * t * 8 / 8
+
+
+@pytest.mark.parametrize(
+    "case", ["grid", "random", "signed_zeros", "signed_zeros_distinct", "empty"]
+)
+def test_distinct_nodes_matches_np_unique(case, monkeypatch):
+    sm, xs = _node_set(case != "random")
+    if case == "empty":
+        xs = np.zeros(0)
+    elif case.startswith("signed_zeros"):
+        planted = [0.0, -0.0, 1.0, -0.0, 0.0, -1.0] if case == "signed_zeros" else [-0.0, 0.0]
+        monkeypatch.setattr(smoothing, "quadrature_nodes", lambda sm, xs: np.array(planted))
+    nodes = smoothing.quadrature_nodes(sm, xs)
+    keys, inv = np.unique(nodes.view(np.int64), return_inverse=True)
+    points, index = distinct_nodes(sm, xs)
+    if keys.size == nodes.size:
+        assert index is None and np.array_equal(points.view(np.int64), nodes.view(np.int64))
+    else:
+        assert np.array_equal(points.view(np.int64), keys)
+        assert index.dtype == inv.dtype and np.array_equal(index, inv)
+    assert (index is None) == (case in ("random", "signed_zeros_distinct", "empty"))
 
 
 def test_smoothing_linearity():
