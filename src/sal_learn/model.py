@@ -295,9 +295,9 @@ class Grade:
         return self._units[0]
 
     @property
-    def groups(self) -> np.ndarray | None:
-        """The unit of each row, or None when every row is its own unit."""
-        return None if self.units == self.width else self._units[1]
+    def groups(self) -> np.ndarray:
+        """The unit of each row."""
+        return self._units[1]
 
 
 def _sum_columns(mat: np.ndarray, groups: np.ndarray, count: int) -> np.ndarray:
@@ -311,23 +311,18 @@ def _sum_columns(mat: np.ndarray, groups: np.ndarray, count: int) -> np.ndarray:
 def _unit_affine(prev: Grade | None, g: Grade) -> tuple[np.ndarray, np.ndarray]:
     """Grade g's W and b as the chain applies them: g's unit rows, acting on
     prev's units (on the input when prev is None), so each column group of
-    prev is summed into one column.  A grade that folds on neither side
-    keeps its own arrays, and so its bits."""
-    weight, bias = g.weight, g.bias
-    if g.groups is not None:
-        weight, bias = weight[g.unit_rows], bias[g.unit_rows]
-    if prev is not None and prev.groups is not None:
+    prev is summed into one column."""
+    weight = g.weight[g.unit_rows]
+    if prev is not None:
         weight = _sum_columns(weight, prev.groups, prev.units)
-    return weight, bias
+    return weight, g.bias[g.unit_rows]
 
 
 def _unit_pooling(g: Grade):
     """The map from g's pre-activation on its units to its pooled
-    component: Pooling.apply when g does not fold; at mu = 0 the gather to
-    every row, which keeps apply's copy semantics for inf, NaN and -0.0;
-    else the product with P's columns summed over g's groups."""
-    if g.groups is None:
-        return g.pooling.apply
+    component: at mu = 0 the gather to every row, which keeps
+    Pooling.apply's copy semantics for inf, NaN and -0.0; else the product
+    with P's columns summed over g's groups."""
     groups = g.groups
     if g.pooling.mu == 0:
         return lambda pre: pre[:, groups]
@@ -380,11 +375,11 @@ class _AngleSum:
 
 @dataclass
 class Carry:
-    """The features N_depth at every row of one point set, kept between chain
-    runs, on the units of grade `depth` (the input's columns at depth 0).
-    feats is an (n, units) array or, at depth 1 on the nodes of one node
-    set, the _AngleSum that forms N_1 there block by block.  The layout
-    depends on that grade alone; Model.expand gives the full width."""
+    """The features N_depth at every row of one point set, kept by one chain
+    run for Model.features or, in training, for the next grade's run at the
+    same nodes, on the units of grade `depth` (the input's columns at depth
+    0).  feats is an (n, units) array or, at depth 1 on the nodes of one
+    node set, the _AngleSum that forms N_1 there block by block."""
 
     depth: int
     feats: np.ndarray | _AngleSum
@@ -445,11 +440,11 @@ class Model:
         BLOCK_ROWS rows, so only one block's features are alive at a time, and
         each grade it passes is evaluated once.  `carry` holds N_d at the
         points and stands in for them and for the first d grades (points may
-        then be None); training carries N_d at its points x and, through
-        _planned_components, at a node set's distinct nodes.  A carry of an
-        _AngleSum stands in for grade 1 at the nodes of a whole node set:
-        its blocks hold whole points, and each forms its N_1 from the four
-        tables in grade 1's work arrays.  With `keep=j` the features N_j
+        then be None); training carries N_d, through _planned_components, at
+        a node set's distinct nodes only.  A carry of an _AngleSum stands in
+        for grade 1 at the nodes of a whole node set: its blocks hold whole
+        points, and each forms its N_1 from the four tables in grade 1's
+        work arrays.  With `keep=j` the features N_j
         come back as a Carry; a carry passed in is then consumed, since its
         array is overwritten when the widths agree.
 
@@ -458,9 +453,8 @@ class Model:
         of _unit_affine (its unit rows, with the columns of the previous
         grade's groups summed) and the pooling of _unit_pooling.  The
         expanded features would repeat each unit's column over its group,
-        so the components agree with the full-width products to rounding.
-        A grade that folds on neither side runs its own W, b and
-        Pooling.apply and keeps their bits.
+        so the components agree with the full-width products to rounding,
+        and keep their bits where neither a grade nor the one before folds.
 
         The call makes two work arrays per unit count, as long as the
         longest block, and every block and grade reuses them: the affine
@@ -526,10 +520,12 @@ class Model:
         return comps, kept
 
     def expand(self, carry: Carry) -> np.ndarray:
-        """The carry's features at full width: each unit's column repeated
-        over its group, or the carry's own array when its grade does not fold."""
-        groups = self.grades[carry.depth - 1].groups if carry.depth else None
-        return carry.feats if groups is None else carry.feats[:, groups]
+        """The carry's features at full width, each unit's column repeated
+        over its group (the carry's own array at depth 0), C-ordered: a
+        least squares posed on F-ordered features rounds differently."""
+        if carry.depth == 0:
+            return carry.feats
+        return np.take(carry.feats, self.grades[carry.depth - 1].groups, axis=1)
 
     def features(self, x: np.ndarray, upto: int | None = None) -> np.ndarray:
         """Feature recursion N_k at the rows of x (k = upto, default all grades).
@@ -659,7 +655,8 @@ def inner_product(u: np.ndarray, v: np.ndarray) -> float:
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape:
         raise ValueError(f"shape mismatch: {u.shape} vs {v.shape}")
-    return float(np.sum(u * v))
+    with np.errstate(over="ignore"):  # beyond the largest double, inf is the value
+        return float(np.sum(u * v))
 
 
 def sq_norm(u: np.ndarray) -> float:

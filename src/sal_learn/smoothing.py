@@ -93,7 +93,10 @@ class Smoother:
 
 
 def gaussian(u: np.ndarray | float) -> np.ndarray | float:
-    return np.exp(-0.5 * np.square(u)) / math.sqrt(2.0 * math.pi)
+    # u beyond about 1e154 squares to inf and weighs 0.0, as it does from
+    # about 38 on (see _peak_weight)
+    with np.errstate(over="ignore"):
+        return np.exp(-0.5 * np.square(u)) / math.sqrt(2.0 * math.pi)
 
 
 def gaussian_eval(tau: float, u: np.ndarray | float):

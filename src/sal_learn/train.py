@@ -97,42 +97,35 @@ def _component_smoother(cfg: GradeConfig) -> smoothing.Smoother | None:
 
 
 class _Carried:
-    """The training points and the features carried there between grades.
+    """The training points and the features carried between grades.
 
-    `plain` holds N_k at the points x.  `nodes` holds N_k at the distinct
-    quadrature nodes of the last smoothed grade; it is kept only when the
-    next grade smooths over the same nodes (`node_keys` holds the node key
-    of each configured grade, None for an unsmoothed one), otherwise every
-    block of nodes streams straight to its pooled component.  Whether grade
-    1's features at a node set come by angle addition is decided by
-    Model._planned_components, by the rule it applies in prediction.
+    `nodes` holds N_k at the distinct quadrature nodes of the last smoothed
+    grade; it is kept only when the next grade smooths over the same nodes
+    (`node_keys` holds the node key of each configured grade, None for an
+    unsmoothed one), otherwise every block of nodes streams straight to its
+    pooled component.  Whether grade 1's features at a node set come by
+    angle addition is decided by Model._planned_components, by the rule it
+    applies in prediction.
     """
 
-    def __init__(self, model: Model, x: np.ndarray, node_keys: Sequence = ()):
+    def __init__(self, x: np.ndarray, node_keys: Sequence = ()):
         self.x = x
         self.node_keys = list(node_keys)
-        self.plain = model.run_chain(x, keep=len(model.grades))[1]
         self.nodes = None
 
     def component(self, model: Model, k: int, advance: bool) -> np.ndarray:
         """Grade k's component at x, from the chain run `model.predict` makes.
 
-        With `advance` the carried features move on to N_{k+1} in the same
-        pass.  Without it (the grade's activation is not final yet) they stay
-        at N_k: the caller advances `plain` once the activation is fixed, and
-        kept node features catch up in the next grade's pass.
+        A smoothed grade keeps the node features the next grade of its node
+        set starts from: N_{k+1} with `advance`, else N_k (the activation is
+        not final yet), which catch up in the next grade's pass.
         """
         if model.grades[k].smoother is None:
-            comps, plain = model.run_chain(None, [k], self.plain, keep=k + 1 if advance else None)
-            if advance:
-                self.plain = plain
-            return comps[k]
+            return model.component_values(k, self.x)
         keep = None
         if k + 1 < len(self.node_keys) and self.node_keys[k + 1] == self.node_keys[k]:
             keep = k + 1 if advance else k
         comps, self.nodes = model._planned_components(self.x, [k], self.nodes, keep)
-        if advance:
-            self.plain = model.run_chain(None, carry=self.plain, keep=k + 1)[1]
         return comps[k]
 
 
@@ -161,9 +154,8 @@ def train_grade(
     the residual's share of the original target energy (for component-mode
     smoothing this equals the prediction-based rse; rse_test is left for the
     caller, which scores the test set after the last grade).  `carried`
-    holds the features at the train inputs from earlier grades and moves
-    them on to this grade's output (train_sal passes it); without it they
-    are computed from the inputs.
+    holds the node features an earlier grade kept for this one (train_sal
+    passes it); the problem is posed on model.features at the inputs.
     """
     start = time.perf_counter()
     t = dataset.targets.shape[1]
@@ -173,10 +165,10 @@ def train_grade(
         if cfg.width < t:
             raise ValueError(f"grade width {cfg.width} must be >= output dim {t}")
         if carried is None:
-            carried = _Carried(model, x)
+            carried = _Carried(x)
         # the problem is posed on the full-width [F 1]: lstsq's cut would see
-        # other singular values on the carried units alone
-        feats = model.expand(carried.plain)
+        # other singular values on the units alone
+        feats = model.features(x)
         pooling = Pooling(out_dim=t, mu=cfg.width - t)
         ridge = cfg.solver.ridge if cfg.solver.method == "nesterov" else 0.0
         weight, bias, stats, defect = _solve(feats, residual, pooling, ridge, cfg.solver)
@@ -205,7 +197,6 @@ def train_grade(
         pre = feats @ weight.T + bias
         alpha, flagged = select_activation(list(candidates), pre, pooling, new_residual)
         grade.activation = combination(alpha, candidates)
-        carried.plain = view.run_chain(None, carry=carried.plain, keep=k + 1)[1]
         if flagged:
             stats.note = (stats.note + "; " if stats.note else "") + (
                 "singular activation gram; minimum-norm combination"
@@ -246,8 +237,9 @@ def train_sal(
     """Run the grades in order; the residual starts as the targets themselves
     (minus the head's predictions when a hybrid head is configured).
 
-    Only the training points carry features from grade to grade.  The test
-    set, when given and tracked, is scored after the last grade (or before a
+    Features are carried from grade to grade only at the distinct nodes of
+    a node set that consecutive smoothed grades share.  The test set, when
+    given and tracked, is scored after the last grade (or before a
     TrainError, for the grades that trained) by Model.staged_predict, the
     path predict runs."""
     x, y = dataset.inputs, dataset.targets
@@ -279,7 +271,7 @@ def train_sal(
     for gcfg in cfg.grades:
         sm = _component_smoother(gcfg)
         node_keys.append(None if sm is None else smoothing.node_key(sm))
-    train_carried = _Carried(model, x, node_keys)
+    train_carried = _Carried(x, node_keys)
     for i, gcfg in enumerate(cfg.grades):
         if gcfg.solver.init != "zero":
             # vary the random start per grade so equal-width grades do not

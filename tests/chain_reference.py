@@ -4,11 +4,12 @@ contracted from the values at every quadrature node, weighted and summed
 offset by offset in ascending order, the order smoothing.contract sums in.
 
 The model evaluates the recursion in row blocks, only at the distinct nodes,
-and carries features from grade to grade; tests require it to match this
-reference bit for bit.  Where the model forms grade 1's features at the nodes
-of a set by angle addition (Model._adds_angles, at a node set with no
-repeated node), so does the reference, set by set, with the same operations
-over every node of the set at once.
+and carries features from grade to grade at the nodes of a shared node set;
+tests require it to match this reference bit for bit.  Where the model forms
+grade 1's features at the nodes of a set by angle addition
+(Model._adds_angles, at a node set with no repeated node), so does the
+reference, set by set, with the same operations over every node of the set
+at once.
 
 Like the model, the reference evaluates each grade on its units, the
 bitwise-distinct rows of [W b] in order of first occurrence, found here by

@@ -4,7 +4,8 @@ Every key path of a model file (a smoothed two-grade cascade, a cascade on
 a hybrid head, a baseline MLP) and of a config with every section is set,
 in turn, to each of VALUES.  `eval` must then exit 0, or 2 with one
 `model error:` line on stderr and nothing on stdout; `parse_config` must
-return or raise ConfigError.  Nothing else may escape.  The sizes stay
+return or raise ConfigError.  Nothing else may escape, not even a warning,
+which the CLI would print to stderr beside that line.  The sizes stay
 beyond the address space (10**15), so an allocation that cannot succeed
 fails at once instead of taking gigabytes first.
 """
@@ -12,6 +13,7 @@ fails at once instead of taking gigabytes first.
 import copy
 import json
 import math
+import warnings
 
 import pytest
 
@@ -127,13 +129,17 @@ def test_eval_of_a_mutated_model_exits_0_or_with_one_model_error_line(tmp_path, 
     failures = []
     for path, value, text in mutants(MODELS[kind]):
         model_path.write_text(text)
-        try:
-            code = cli.main(args)
-        except Exception as exc:  # reported with its case below
-            capsys.readouterr()
-            failures.append((path, repr(value)[:20], f"raised {exc!r}"[:200]))
-            continue
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = cli.main(args)
+            except Exception as exc:  # reported with its case below
+                capsys.readouterr()
+                failures.append((path, repr(value)[:20], f"raised {exc!r}"[:200]))
+                continue
         out, err = capsys.readouterr()
+        if caught:
+            failures.append((path, repr(value)[:20], f"warned {caught[0].message}"[:200]))
         if code == 0:
             continue
         if code != 2 or out or not err.startswith("model error: ") or err.count("\n") != 1:
@@ -148,10 +154,14 @@ def test_parse_config_of_a_mutated_config_returns_or_raises_config_error(tmp_pat
     failures = []
     for path, value, text in mutants(CONFIG):
         cfg_path.write_text(text)
-        try:
-            parse_config(cfg_path)
-        except ConfigError:
-            pass
-        except Exception as exc:  # reported with its case below
-            failures.append((path, repr(value)[:20], repr(exc)[:200]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                parse_config(cfg_path)
+            except ConfigError:
+                pass
+            except Exception as exc:  # reported with its case below
+                failures.append((path, repr(value)[:20], repr(exc)[:200]))
+        if caught:
+            failures.append((path, repr(value)[:20], f"warned {caught[0].message}"[:200]))
     assert not failures

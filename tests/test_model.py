@@ -969,7 +969,7 @@ def test_folded_evaluation_matches_the_full_width_chain(t):
 
 def test_grades_with_distinct_rows_keep_the_full_width_bits():
     model = _cascade(None)
-    assert all(g.groups is None and g.units == g.width for g in model.grades)
+    assert all(np.array_equal(g.groups, np.arange(g.width)) and g.units == g.width for g in model.grades)
     points = np.linspace(-1.0, 1.0, 2 * BLOCK_ROWS + 5)[:, None]
     comps, kept = model.run_chain(points, range(6), keep=6)
     want, feats = _full_width_chain(model, points)
@@ -984,9 +984,23 @@ def test_features_are_full_width_with_equal_columns_per_group():
     for k, g in enumerate(model.grades, start=1):
         feats = model.features(points, upto=k)
         assert feats.shape == (300, g.width)
-        if g.groups is not None:
-            assert np.array_equal(feats, feats[:, g.unit_rows][:, g.groups])
-            assert len(np.unique(g.groups)) == g.units < g.width
+        assert np.array_equal(feats, feats[:, g.unit_rows][:, g.groups])
+        if g.units < g.width:
+            assert len(np.unique(g.groups)) == g.units
+        else:
+            assert np.array_equal(g.groups, np.arange(g.width))
+
+
+@pytest.mark.parametrize("folds", [False, True])
+def test_features_are_c_ordered_with_the_reference_bits(folds):
+    # training poses each least squares on model.features, and the solver's
+    # products round differently on F-ordered features
+    model = _folding_model(3) if folds else _cascade(None)
+    points = np.linspace(-1.0, 1.0, 2 * BLOCK_ROWS + 5)[:, None]
+    for k in range(len(model.grades) + 1):
+        feats = model.features(points, upto=k)
+        assert feats.flags.c_contiguous
+        assert np.array_equal(feats, ref.expand(model, k, ref.features(model, k, points)))
 
 
 def test_units_are_the_distinct_rows_in_order_of_first_occurrence():
@@ -995,7 +1009,7 @@ def test_units_are_the_distinct_rows_in_order_of_first_occurrence():
     # -0.0 and 0.0 have different bits, so they stay apart
     assert g.units == 4 and g.unit_rows.tolist() == [0, 1, 4, 5]
     assert g.groups.tolist() == [0, 1, 0, 1, 2, 3]
-    assert Grade(weight[:2], np.zeros(2), Pooling(1, 1), RELU).groups is None
+    assert Grade(weight[:2], np.zeros(2), Pooling(1, 1), RELU).groups.tolist() == [0, 1]
 
 
 def test_mu0_grade_with_repeated_rows_keeps_inf_nan_and_signed_zero():

@@ -503,19 +503,21 @@ def test_training_runs_each_smoothed_grade_once_over_its_distinct_nodes(monkeypa
     monkeypatch.setattr(smoothing, "smooth_fn_grid", no_smooth_fn_grid)
     model, _ = train_sal(ds, TrainConfig(grades))
     assert model.grades[1].activation.kind == "combination"
-    n = len(x)
+    # at x, each grade's problem takes model.features and an unsmoothed
+    # component takes component_values: nothing is carried there
     assert calls == [
         (xk, [], None, 0),
-        (None, [0], (0, n), 1),
+        (xk, [0], None, None),
+        (xk, [], None, 1),
         (None, [1], (1, len(sk), "angles"), 1),
-        (None, [], (1, n), 2),
+        (xk, [], None, 2),
         (sk, [2], (1, len(sk)), 3),
-        (None, [], (2, n), 3),
+        (xk, [], None, 3),
         (sk, [3], (3, len(sk)), None),
-        (None, [], (3, n), 4),
+        (xk, [], None, 4),
         (None, [4], (1, len(tk), "angles"), None),
-        (None, [], (4, n), 5),
-        (None, [5], (5, n), 6),
+        (xk, [], None, 5),
+        (xk, [5], None, None),
     ]
 
 
